@@ -1,7 +1,7 @@
 """``repro.check``: static verification of generated kernels, graphs
 and the parallel runtime.
 
-Six analyzers prove correctness properties *before* anything runs on
+Five analyzers prove correctness properties *before* anything runs on
 training data, so codegen drift and runtime races surface at check time
 instead of as silent numerical corruption mid-training:
 
@@ -14,11 +14,6 @@ instead of as silent numerical corruption mid-training:
 * :mod:`repro.check.graph` -- shape/dtype propagation over networks
   and netdefs, wired into :class:`TrainingLoop` as a fail-fast
   pre-flight;
-* :mod:`repro.check.effects` -- effect-typed happens-before verifier
-  over compiled task graphs: every node declares the buffer regions it
-  reads/writes, an AST pass cross-checks the declarations against the
-  node body, and a reachability pass proves no unordered pair of nodes
-  conflicts (wired into :class:`TrainingLoop` when ``scheduler="dag"``);
 * :mod:`repro.check.concurrency` -- lint for mutable defaults, shared
   mutable state under the worker pool, and telemetry misuse;
 * :mod:`repro.check.lifecycle` -- shared-memory buffer lifecycle

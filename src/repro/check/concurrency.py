@@ -38,18 +38,6 @@ and flags:
   collector records into a dead copy, and OS-level handles either fail
   to pickle or dangle.  Ship :class:`~repro.runtime.shm.ShmDescriptor`
   values (and re-attach worker-side) instead;
-* **CHK-DAG** -- a node callable added to a task graph
-  (``add_node``) captures mutable engine scratch bound ahead of time: a
-  ``make_engine(...)`` result, a ``Workspace(...)``, or an engine
-  checked out via ``_checkout_engine()``.  DAG nodes run concurrently
-  on work-stealing threads, so scratch captured at graph-build time is
-  shared by every node that closes over it -- check engines out of the
-  executor free-list *inside* the node body instead (see
-  :mod:`repro.runtime.dag`).  The rule sees through every way a node
-  callable can smuggle scratch: closures and lambdas (free names),
-  ``functools.partial(fn, scratch)`` (bound arguments, positional or
-  keyword), and bare bound methods (``scratch.run`` captures its
-  instance);
 * **CHK-SCHED-BYPASS** -- an emitter module (one defining ``emit_*``
   functions) calls a raw basic-block entry point
   (``generate_basic_block``/``optimize_register_tile``/
@@ -122,34 +110,9 @@ _SCHED_BYPASS_CALLS = frozenset(
     ("generate_basic_block", "optimize_register_tile", "render_intrinsics")
 )
 
-#: Task-graph submission methods (CHK-DAG): node callables run
-#: concurrently on the work-stealing scheduler.
-_DAG_SUBMIT_METHODS = frozenset(("add_node",))
-
-#: Value-producing calls that bind mutable engine scratch; a DAG node
-#: capturing one shares that scratch with every concurrent node.
-_DAG_UNSAFE_CALLS = {
-    "make_engine":
-        "an engine instance with mutable scratch (unfold workspace, "
-        "GEMM panels); check one out of the executor free-list inside "
-        "the node body instead",
-    "_checkout_engine":
-        "an engine checked out at graph-build time; check it out "
-        "inside the node body so concurrent nodes never share scratch",
-    "Workspace":
-        "a mutable workspace buffer; allocate it inside the node body "
-        "or give each node its own",
-}
-
 _FORK_MESSAGE = (
     "{label} submitted via .{method}() captures {free!r}, {description}; "
     "it cannot cross the process-backend pickle boundary"
-)
-
-_DAG_MESSAGE = (
-    "DAG node callable {label} added via .{method}() captures {free!r}, "
-    "{description}; concurrent nodes on the work-stealing scheduler "
-    "would race on it"
 )
 
 
@@ -368,28 +331,19 @@ def _free_names(func_node: "ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda"
 
 
 class _CaptureSafetyVisitor(ast.NodeVisitor):
-    """Unsafe-capture rules (CHK-FORK, CHK-DAG) over submitted callables.
+    """The CHK-FORK unsafe-capture rule over pool-submitted callables.
 
     Tracks, per function scope, which local names are bound to unsafe
-    values (per the rule's call table) and which nested functions are
-    defined; every callable handed to one of the rule's submission
-    methods is then checked for free names that resolve to an unsafe
-    binding in any enclosing scope.
+    values (per :data:`_FORK_UNSAFE_CALLS`) and which nested functions
+    are defined; every callable handed to a pool submission method is
+    then checked for free names that resolve to an unsafe binding in any
+    enclosing scope.  An attribute of a handle passed as a submission
+    argument (``partial(task, seg.descriptor)``) stays clean: it is how
+    the sanctioned pattern ships the picklable descriptor.
     """
 
-    def __init__(self, module_name: str, submit_methods: frozenset[str],
-                 table: dict[str, str], message: str,
-                 bound_methods: bool = False) -> None:
+    def __init__(self, module_name: str) -> None:
         self.module_name = module_name
-        self.submit_methods = submit_methods
-        self.table = table
-        self.message = message
-        # Flag bare bound-method callables (``obj.method``).  Only the
-        # DAG rule opts in: under CHK-FORK, attribute access on an
-        # unsafe handle is how the *sanctioned* pattern extracts the
-        # picklable descriptor (``seg.descriptor``), so the same shape
-        # is clean there.
-        self.bound_methods = bound_methods
         self.findings: list[Finding] = []
         # Innermost scope last; index 0 is the module scope.
         self._scopes: list[dict] = [{"unsafe": {}, "funcs": {}}]
@@ -411,7 +365,8 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
         self._scopes[-1]["unsafe"][name] = description
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        description = _unsafe_call_description(node.value, self.table)
+        description = _unsafe_call_description(node.value,
+                                               _FORK_UNSAFE_CALLS)
         if description is not None:
             for target in node.targets:
                 if isinstance(target, ast.Name):
@@ -421,7 +376,7 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
     def visit_With(self, node: ast.With) -> None:
         for item in node.items:
             description = _unsafe_call_description(item.context_expr,
-                                                   self.table)
+                                                   _FORK_UNSAFE_CALLS)
             if (description is not None
                     and isinstance(item.optional_vars, ast.Name)):
                 self._bind(item.optional_vars.id, description)
@@ -448,9 +403,9 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
             if description is not None:
                 self.findings.append(_finding(
                     "error", f"{self.module_name}:{lineno}",
-                    self.message.format(label=label, method=method,
-                                        free=free,
-                                        description=description),
+                    _FORK_MESSAGE.format(label=label, method=method,
+                                         free=free,
+                                         description=description),
                 ))
 
     @staticmethod
@@ -464,7 +419,7 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
 
     def _check_partial(self, call: ast.Call, method: str) -> None:
         """``functools.partial(fn, x, k=y)``: x/y are captured like a
-        closure's free names -- unsafe bindings among them race too."""
+        closure's free names -- unsafe bindings among them ship too."""
         for value in list(call.args) + [kw.value for kw in call.keywords]:
             if (isinstance(value, ast.Name)
                     and isinstance(value.ctx, ast.Load)):
@@ -472,32 +427,17 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
                 if description is not None:
                     self.findings.append(_finding(
                         "error", f"{self.module_name}:{value.lineno}",
-                        self.message.format(label="functools.partial(...)",
-                                            method=method, free=value.id,
-                                            description=description),
+                        _FORK_MESSAGE.format(label="functools.partial(...)",
+                                             method=method, free=value.id,
+                                             description=description),
                     ))
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if (isinstance(func, ast.Attribute)
-                and func.attr in self.submit_methods):
+                and func.attr in _SUBMIT_METHODS):
             values = list(node.args) + [kw.value for kw in node.keywords]
             for value in values:
-                # Bound methods handed over bare (``obj.method``, not
-                # ``obj.method(...)``) capture their instance exactly
-                # like a closure captures a free name; exempt call-form
-                # attributes and anything inside a lambda (the lambda's
-                # own free-name check already covers those).
-                called = {
-                    id(sub.func) for sub in ast.walk(value)
-                    if isinstance(sub, ast.Call)
-                }
-                in_lambda = {
-                    id(inner)
-                    for sub in ast.walk(value)
-                    if isinstance(sub, ast.Lambda)
-                    for inner in ast.walk(sub.body)
-                }
                 for sub in ast.walk(value):
                     if isinstance(sub, ast.Lambda):
                         self._check_callable(sub, sub.lineno, func.attr,
@@ -511,23 +451,6 @@ class _CaptureSafetyVisitor(ast.NodeVisitor):
                             self._check_callable(
                                 target, sub.lineno, func.attr,
                                 f"closure {sub.id!r}")
-                    elif (self.bound_methods
-                          and isinstance(sub, ast.Attribute)
-                          and isinstance(sub.ctx, ast.Load)
-                          and isinstance(sub.value, ast.Name)
-                          and id(sub) not in called
-                          and id(sub) not in in_lambda):
-                        description = self._lookup_unsafe(sub.value.id)
-                        if description is not None:
-                            self.findings.append(_finding(
-                                "error",
-                                f"{self.module_name}:{sub.lineno}",
-                                self.message.format(
-                                    label=(f"bound method "
-                                           f"'{sub.value.id}.{sub.attr}'"),
-                                    method=func.attr, free=sub.value.id,
-                                    description=description),
-                            ))
         self.generic_visit(node)
 
 
@@ -608,20 +531,9 @@ def lint_source(module_name: str, source: str) -> list[Finding]:
     # CHK-FORK: fork/pickle-unsafe captures in pool submissions.  The
     # rule fires on the submission sites themselves, so no module gate:
     # a module without ``.run_tasks(...)``-style calls yields nothing.
-    fork_visitor = _CaptureSafetyVisitor(
-        module_name, _SUBMIT_METHODS, _FORK_UNSAFE_CALLS, _FORK_MESSAGE
-    )
+    fork_visitor = _CaptureSafetyVisitor(module_name)
     fork_visitor.visit(tree)
     findings.extend(fork_visitor.findings)
-
-    # CHK-DAG: node callables capturing mutable engine scratch.  Same
-    # machinery, different submission methods and unsafe-call table.
-    dag_visitor = _CaptureSafetyVisitor(
-        module_name, _DAG_SUBMIT_METHODS, _DAG_UNSAFE_CALLS, _DAG_MESSAGE,
-        bound_methods=True,
-    )
-    dag_visitor.visit(tree)
-    findings.extend(dag_visitor.findings)
 
     # CHK-SCHED-BYPASS: emitter modules reaching the basic-block layer
     # without going through the schedule-pass pipeline.  Gated on the

@@ -1,7 +1,7 @@
 """Single entry point running every static analyzer: ``run_all``.
 
 The default corpus is everything the framework can deploy: the built-in
-zoo networks (graph checker and task-graph effects verifier), the
+zoo networks (graph checker), the
 engine-facing ConvSpec of every conv layer in those networks plus every
 Table 2 benchmark convolution (kernel-IR verifier and generated-source
 verifier, covering each (ConvSpec x technique) kernel the autotuner can
@@ -14,7 +14,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.check.concurrency import lint_package
-from repro.check.effects import verify_networks as verify_network_effects
 from repro.check.findings import CheckReport
 from repro.check.gen_source import verify_generated_sources
 from repro.check.graph import verify_networks
@@ -25,8 +24,7 @@ from repro.errors import CheckError
 from repro.machine.spec import MachineSpec, xeon_e5_2650
 
 #: The analyzers ``run_all`` knows, in run order.
-ANALYZERS = ("kernel-ir", "gen-source", "graph", "effects", "concurrency",
-             "lifecycle")
+ANALYZERS = ("kernel-ir", "gen-source", "graph", "concurrency", "lifecycle")
 
 #: Short aliases accepted by ``--only`` (``repro check --only ir,source``).
 ANALYZER_ALIASES = {
@@ -86,7 +84,7 @@ def run_all(
     networks: list | None = None,
     lint_root: Path | None = None,
 ) -> CheckReport:
-    """Run the selected analyzers (all six by default) and aggregate.
+    """Run the selected analyzers (all five by default) and aggregate.
 
     Returns a :class:`CheckReport`; never raises on findings -- use
     :meth:`CheckReport.raise_if_errors` (or the CLI's exit code) to gate.
@@ -104,7 +102,7 @@ def run_all(
     needs_specs = {"kernel-ir", "gen-source"} & set(selected)
     needs_networks = (
         bool(needs_specs and specs is None)
-        or bool({"graph", "effects"} & set(selected))
+        or "graph" in selected
     )
     if needs_networks and networks is None:
         networks = default_networks()
@@ -125,10 +123,6 @@ def run_all(
     if "graph" in selected:
         report.extend(verify_networks(networks or []))
         report.meta["networks"] = len(networks or [])
-    if "effects" in selected:
-        findings, meta = verify_network_effects(networks or [])
-        report.extend(findings)
-        report.meta.update(meta)
     if "concurrency" in selected:
         findings, files = lint_package(lint_root)
         report.extend(findings)

@@ -12,15 +12,14 @@ Commands:
   job with spg-CNN retuning under the telemetry collector, print the
   span/counter/event tables and write a JSON trace (profiling command).
 * ``check [--only A,B] [--analyzer A ...] [--json PATH]`` -- statically
-  verify the generated kernels, network graphs, task-graph effects,
-  shm buffer lifecycles and parallel runtime; ``--only`` takes a
-  comma-separated analyzer list, ``--format sarif`` emits SARIF 2.1.0
-  for code-host upload; exits 1 when any error-severity finding is
-  reported (CI gate).
-* ``chaos [--plan P] [--seed N] [--scheduler barrier|dag] ...`` -- train
-  a small job under a named fault plan with the resilient policy active
-  and report survival; exits 1 when the run dies, stops improving, or
-  fails the kill/resume bit-identity check (CI chaos gate).
+  verify the generated kernels, network graphs, shm buffer lifecycles
+  and parallel runtime; ``--only`` takes a comma-separated analyzer
+  list, ``--format sarif`` emits SARIF 2.1.0 for code-host upload;
+  exits 1 when any error-severity finding is reported (CI gate).
+* ``chaos [--plan P] [--seed N] ...`` -- train a small job under a
+  named fault plan with the resilient policy active and report survival;
+  exits 1 when the run dies, stops improving, or fails the kill/resume
+  bit-identity check (CI chaos gate).
 * ``train [--net cifar|mnist] ...`` (alias: ``monitor``) -- run a
   training job under the live :class:`repro.obs.monitor.TrainingMonitor`
   and write the final run report.
@@ -169,14 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker threads per conv layer (1 = inline)")
     trace.add_argument("--backend", choices=_BACKENDS, default="thread",
                        help="execution backend of the conv worker pools")
-    trace.add_argument("--scheduler", choices=("barrier", "dag"),
-                       default="barrier",
-                       help="per-layer barriers or the task-graph runtime")
     trace.add_argument("--cores", type=int, default=16,
                        help="cores assumed by the autotuner's cost model")
-    trace.add_argument("--critical-path", action="store_true",
-                       help="print the DAG critical-path / goodput "
-                            "attribution table (needs --scheduler dag)")
     trace.add_argument("--recheck", type=int, default=1,
                        help="re-check the BP choice every N epochs")
     _add_output_args(trace, formats=("table", "json", "chrome"),
@@ -191,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--analyzer", action="append", dest="analyzers", default=None,
         choices=_ANALYZERS,
-        help="run only the named analyzer (repeatable; default: all six)",
+        help="run only the named analyzer (repeatable; default: all five)",
     )
     check.add_argument(
         "--only", type=_analyzer_list, default=None, metavar="A[,B...]",
@@ -223,9 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker threads per conv layer (1 = inline)")
     chaos.add_argument("--backend", choices=_BACKENDS, default="thread",
                        help="execution backend of the conv worker pools")
-    chaos.add_argument("--scheduler", choices=("barrier", "dag"),
-                       default="barrier",
-                       help="per-layer barriers or the task-graph runtime")
     chaos.add_argument("--no-resume-check", action="store_true",
                        help="skip the kill-and-resume bit-identity replay")
     _add_output_args(chaos, out_help="write the chaos + monitor report "
@@ -245,9 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker threads per conv layer (1 = inline)")
     train.add_argument("--backend", choices=_BACKENDS, default="thread",
                        help="execution backend of the conv worker pools")
-    train.add_argument("--scheduler", choices=("barrier", "dag"),
-                       default="barrier",
-                       help="per-layer barriers or the task-graph runtime")
     train.add_argument("--cores", type=int, default=16,
                        help="cores assumed by the autotuner's cost model")
     train.add_argument("--recheck", type=int, default=1,
@@ -446,7 +433,6 @@ def _build_training_job(args):
     spg = SpgCNN(network, backend, recheck_epochs=args.recheck)
     loop = TrainingLoop(
         network, data, batch_size=args.batch,
-        scheduler=getattr(args, "scheduler", None),
         epoch_end_hook=lambda epoch, _net: spg.after_epoch(epoch),
     )
     return network, spg, loop
@@ -482,15 +468,6 @@ def _cmd_trace(args, out) -> int:
         print(f"final train loss: {history.final.train_loss:.4f}  "
               f"mean error sparsity: {history.final.mean_error_sparsity:.2f}",
               file=out)
-    if getattr(args, "critical_path", False):
-        from repro.obs.critical import critical_path_report
-
-        report = critical_path_report(tel)
-        if report is None:
-            print("no dag graphs recorded (run with --scheduler dag)",
-                  file=out)
-        else:
-            print(report.table(), file=out)
     if args.out is not None:
         if args.format == "chrome":
             from repro.obs.chrome_trace import write_chrome_trace
@@ -621,7 +598,6 @@ def _cmd_chaos(args, out) -> int:
         samples=args.samples,
         threads=args.threads,
         backend=args.backend,
-        scheduler=args.scheduler,
         check_resume=not args.no_resume_check,
     )
     if args.format == "json":

@@ -21,11 +21,6 @@ class Network:
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
         self.name = name
-        #: Step-execution strategy: ``"barrier"`` fork/joins per layer
-        #: and phase; ``"dag"`` compiles each pass into a task graph
-        #: (see :mod:`repro.runtime.dag`).  Both are bit-identical.
-        self.scheduler = "barrier"
-        self._dag_runner = None
         # Validate the shape chain eagerly so misconfigured nets fail fast.
         self.layer_shapes = [self.input_shape]
         shape = self.input_shape
@@ -42,27 +37,8 @@ class Network:
         """The convolution layers, in order (spg-CNN's optimization targets)."""
         return [layer for layer in self.layers if isinstance(layer, ConvLayer)]
 
-    def set_scheduler(self, scheduler: str) -> None:
-        """Select the step-execution strategy (``"barrier"`` or ``"dag"``)."""
-        from repro.runtime.dag import validate_scheduler
-
-        self.scheduler = validate_scheduler(scheduler)
-
-    def _dag(self):
-        """The cached DAG runner, rebuilt when the pool width changed."""
-        from repro.runtime.dag import NetworkDagRunner, dag_worker_count
-
-        runner = self._dag_runner
-        want = dag_worker_count(self)
-        if runner is None or runner.scheduler.num_workers != want:
-            runner = NetworkDagRunner(self, num_workers=want)
-            self._dag_runner = runner
-        return runner
-
     def forward(self, inputs: np.ndarray, training: bool = True) -> np.ndarray:
         """Run FP through every layer."""
-        if self.scheduler == "dag":
-            return self._dag().forward(inputs, training=training)
         if inputs.shape[1:] != self.input_shape:
             raise ShapeError(
                 f"batch input shape {inputs.shape} != (B, *{self.input_shape})"
@@ -74,8 +50,6 @@ class Network:
 
     def backward(self, out_error: np.ndarray) -> np.ndarray:
         """Run BP through every layer in reverse; returns the input error."""
-        if self.scheduler == "dag":
-            return self._dag().backward(out_error)
         error = out_error
         for layer in reversed(self.layers):
             error = layer.backward(error)

@@ -107,7 +107,6 @@ class TrainingLoop:
         checkpoint_every: int = 1,
         journal_every: int = 0,
         backend: str | None = None,
-        scheduler: str | None = None,
     ):
         if batch_size <= 0:
             raise ReproError(f"batch_size must be positive, got {batch_size}")
@@ -133,24 +132,12 @@ class TrainingLoop:
                 set_backend = getattr(layer, "set_backend", None)
                 if set_backend is not None:
                     set_backend(backend)
-        if scheduler is not None:
-            # Step-execution strategy ("barrier" | "dag"); set before
-            # preflight so the probe exercises the path training uses.
-            network.set_scheduler(scheduler)
         if preflight:
             # Fail fast on graph errors (shape/dtype inconsistencies)
             # before the first batch; see repro.check.graph.
             from repro.check.graph import preflight_network
 
             preflight_network(network)
-            if getattr(network, "scheduler", "barrier") == "dag":
-                # The task-graph runtime replaces per-layer barriers
-                # with declared happens-before edges; prove the compiled
-                # FP/BP graphs race-free before trusting them with
-                # training state.  See repro.check.effects.
-                from repro.check.effects import preflight_dag
-
-                preflight_dag(network, batch_size)
         self.train_data = train_data
         self.eval_data = eval_data
         self.batch_size = batch_size

@@ -12,21 +12,14 @@ artifacts a production training stack needs:
   resilience activity) plus a final markdown/JSON run report;
 * :mod:`repro.obs.bench` -- the benchmark regression harness behind
   ``python -m repro bench``;
-* :mod:`repro.obs.idle` -- worker idle-time derivation from span data
-  (the barrier-vs-DAG comparison metric), including the worker-process
-  mode fed by merged shm-ring telemetry;
-* :mod:`repro.obs.critical` -- DAG critical-path analysis and goodput
-  attribution over ``scheduler="dag"`` steps.
+* :mod:`repro.obs.idle` -- worker idle-time derivation from span data,
+  including the worker-process mode fed by merged shm-ring telemetry.
 """
 
 from repro.obs.chrome_trace import (
     chrome_trace_dict,
     chrome_trace_events,
     write_chrome_trace,
-)
-from repro.obs.critical import (
-    CriticalPathReport,
-    critical_path_report,
 )
 from repro.obs.idle import (
     total_worker_idle,
@@ -37,12 +30,10 @@ from repro.obs.idle import (
 from repro.obs.monitor import RunReport, TrainingMonitor
 
 __all__ = [
-    "CriticalPathReport",
     "RunReport",
     "TrainingMonitor",
     "chrome_trace_dict",
     "chrome_trace_events",
-    "critical_path_report",
     "total_worker_idle",
     "total_worker_process_idle",
     "worker_idle_times",

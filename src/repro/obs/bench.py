@@ -294,15 +294,6 @@ def _train_teardown(state) -> None:
         layer.close()
 
 
-def _dag_train_run(state) -> None:
-    from repro.nn.training_loop import TrainingLoop
-
-    network, data = state
-    loop = TrainingLoop(network, data, batch_size=8, preflight=False,
-                        scheduler="dag")
-    loop.run(1)
-
-
 def _fused_setup():
     from repro.stencil.emit import emit_fused_forward_kernel
 
@@ -370,8 +361,7 @@ def default_suite(backend: str = "thread") -> tuple[Benchmark, ...]:
 
     ``backend`` selects the execution backend of the parallel-runtime
     benchmarks (``pool_map``, ``par_stencil_fp``, ``par_sparse_bp``,
-    ``train_epoch``, ``dag_train_epoch``); the single-threaded kernels
-    are backend-free.
+    ``train_epoch``); the single-threaded kernels are backend-free.
     """
     from repro.runtime.backends import validate_backend
 
@@ -471,16 +461,6 @@ def default_suite(backend: str = "thread") -> tuple[Benchmark, ...]:
             flops=_train_flops(),
             setup=functools.partial(_train_setup, backend),
             run=_train_run,
-            teardown=_train_teardown,
-            backend_sensitive=True,
-        ),
-        Benchmark(
-            name="dag_train_epoch",
-            description="training epoch via the task-graph scheduler, "
-                        "quarter-scale MNIST, 2 workers per conv layer",
-            flops=_train_flops(),
-            setup=functools.partial(_train_setup, backend),
-            run=_dag_train_run,
             teardown=_train_teardown,
             backend_sensitive=True,
         ),

@@ -1,18 +1,13 @@
 """Worker idle-time analysis from collected span data.
 
-The point of the task-graph runtime (:mod:`repro.runtime.dag`) is to
-convert barrier wait time into work, so the repo needs a number for
-"how long did workers sit idle".  This module derives it from the spans
-a :class:`~repro.telemetry.collector.TelemetryCollector` already
-records: every worker-executed task -- ``pool/task`` under the barrier
-path, ``dag/node`` under the DAG scheduler -- is a span carrying its
-thread id, so per-thread gaps between consecutive task spans are
-exactly the moments that thread had no task to run.
-
-The measure is scheduler-agnostic on purpose: run one epoch under each
-scheduler with its own collector and compare ``total_worker_idle`` (see
-EXPERIMENTS.md for the full procedure, including eyeballing the same
-gaps on the Chrome trace).
+GEMM-in-Parallel joins every worker once per layer and phase, so the
+time a worker waits at that barrier is the scheduler's cost.  This
+module measures it from the spans a
+:class:`~repro.telemetry.collector.TelemetryCollector` already records:
+every worker-executed task is a ``pool/task`` span carrying its thread
+id, so per-thread gaps between consecutive task spans are exactly the
+moments that thread had no task to run (the same gaps show on the
+Chrome trace).
 
 Under the process backend the parent-side ``pool/task`` spans measure
 dispatch occupancy, not worker occupancy -- queueing and pipe latency
@@ -31,7 +26,7 @@ from typing import Iterable
 from repro.telemetry.collector import Span, TelemetryCollector
 
 #: Span names that represent one worker-executed task.
-WORKER_SPAN_NAMES = ("pool/task", "dag/node")
+WORKER_SPAN_NAMES = ("pool/task",)
 
 
 def _task_spans(source, names: tuple[str, ...]) -> list[Span]:

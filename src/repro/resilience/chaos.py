@@ -186,8 +186,7 @@ def _params_bytes(network) -> bytes:
 
 def _build_job(seed: int, samples: int, threads: int, batch: int,
                checkpoint_dir: str | Path | None,
-               backend: str = "thread",
-               scheduler: str = "barrier") -> TrainingLoop:
+               backend: str = "thread") -> TrainingLoop:
     """A fresh, deterministic training job (network + data + loop)."""
     from repro.data.synthetic import mnist_like
     from repro.nn.zoo import mnist_net
@@ -206,7 +205,6 @@ def _build_job(seed: int, samples: int, threads: int, batch: int,
         shuffle_seed=seed,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=1,
-        scheduler=scheduler,
     )
 
 
@@ -294,8 +292,7 @@ _MIDSTEP_DELAY = 0.05
 
 def run_journal_job(seed: int, samples: int, threads: int, batch: int,
                     checkpoint_dir: str, epochs: int,
-                    backend: str = "process",
-                    scheduler: str = "barrier") -> None:
+                    backend: str = "process") -> None:
     """Child-process entry of the journal kill/resume leg.
 
     Runs the standard chaos job with a batch journal written after
@@ -303,7 +300,7 @@ def run_journal_job(seed: int, samples: int, threads: int, batch: int,
     resumes from the journal it left behind.
     """
     loop = _build_job(seed, samples, threads, batch, checkpoint_dir,
-                      backend, scheduler)
+                      backend)
     loop.journal_every = 1
     try:
         loop.run(epochs)
@@ -312,7 +309,7 @@ def run_journal_job(seed: int, samples: int, threads: int, batch: int,
 
 
 def _check_journal_resume(seed: int, samples: int, threads: int, batch: int,
-                          epochs: int, scheduler: str, ref_bytes: bytes,
+                          epochs: int, ref_bytes: bytes,
                           policy: RetryPolicy) -> bool:
     """SIGKILL a journaling child mid-epoch; resume; compare weights.
 
@@ -326,8 +323,7 @@ def _check_journal_resume(seed: int, samples: int, threads: int, batch: int,
     with tempfile.TemporaryDirectory(prefix="repro-chaos-journal-") as tmp:
         child = ctx.Process(
             target=run_journal_job,
-            args=(seed, samples, threads, batch, tmp, epochs,
-                  "process", scheduler),
+            args=(seed, samples, threads, batch, tmp, epochs, "process"),
         )
         child.start()
         journal = Path(tmp) / "journal.npz"
@@ -350,8 +346,7 @@ def _check_journal_resume(seed: int, samples: int, threads: int, batch: int,
         # Resume in this process from whatever the journal pinned.
         # The serial backend is bit-identical to the process backend,
         # and much cheaper for the replay.
-        resumed = _build_job(seed, samples, threads, batch, tmp,
-                             "serial", "barrier")
+        resumed = _build_job(seed, samples, threads, batch, tmp, "serial")
         with apply_policy(policy):
             resumed.resume_latest()
             resumed.run(epochs)
@@ -361,22 +356,20 @@ def _check_journal_resume(seed: int, samples: int, threads: int, batch: int,
 
 def _run_real_kill(report: ChaosReport, plan_name: str, seed: int,
                    epochs: int, batch: int, samples: int, threads: int,
-                   scheduler: str, check_resume: bool,
+                   check_resume: bool,
                    policy: RetryPolicy) -> ChaosReport:
     """Drive the ``kill9`` / ``hang`` plan and fill in ``report``."""
     sig = signal.SIGKILL if plan_name == "kill9" else signal.SIGSTOP
 
     # Unfaulted serial reference: same worker count, so the partition
     # geometry (and hence the fixed dW reduction order) is identical.
-    reference = _build_job(seed, samples, threads, batch, None,
-                           "serial", "barrier")
+    reference = _build_job(seed, samples, threads, batch, None, "serial")
     ref_history = reference.run(epochs)
     ref_bytes = _params_bytes(reference.network)
     _close(reference)
 
     pre_existing = set(shm.host_segments())
-    loop = _build_job(seed, samples, threads, batch, None,
-                      "process", scheduler)
+    loop = _build_job(seed, samples, threads, batch, None, "process")
     monitor = TrainingMonitor()
     monitor.attach(loop)
     strikes: list[str] = []
@@ -480,8 +473,7 @@ def _run_real_kill(report: ChaosReport, plan_name: str, seed: int,
     if check_resume and epochs >= 2:
         report.resume_checked = True
         report.resume_identical = _check_journal_resume(
-            seed, samples, threads, batch, epochs, scheduler,
-            ref_bytes, policy,
+            seed, samples, threads, batch, epochs, ref_bytes, policy,
         )
     return report
 
@@ -494,7 +486,6 @@ def run_chaos(
     samples: int = 48,
     threads: int = 2,
     backend: str = "thread",
-    scheduler: str = "barrier",
     check_resume: bool = False,
     checkpoint_dir: str | Path | None = None,
     policy: RetryPolicy | None = None,
@@ -516,7 +507,7 @@ def run_chaos(
                              survived=False, improved=False,
                              final_loss=float("nan"), skipped_batches=0)
         return _run_real_kill(report, plan_name, seed, epochs, batch,
-                              samples, threads, scheduler, check_resume,
+                              samples, threads, check_resume,
                               policy or kill_chaos_policy())
 
     plan = faults.get_plan(plan_name, seed)
@@ -528,8 +519,7 @@ def run_chaos(
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         tmp_dir = Path(tmp)
         ckpt_a = Path(checkpoint_dir) if checkpoint_dir else tmp_dir / "a"
-        loop = _build_job(seed, samples, threads, batch, ckpt_a, backend,
-                          scheduler)
+        loop = _build_job(seed, samples, threads, batch, ckpt_a, backend)
         injector = faults.FaultInjector(plan)
         # The monitor shares the chaos collector: its hooks watch the
         # main run, and its final report rides along on the ChaosReport.
@@ -570,7 +560,7 @@ def run_chaos(
             # The "killed" run: same job, same faults, stopped one epoch
             # short of the full run.
             killed = _build_job(seed, samples, threads, batch, tmp_dir / "b",
-                                backend, scheduler)
+                                backend)
             _run_segment(killed, epochs - 1, plan, policy)
             _close(killed)
             ckpt = TrainingLoop.latest_checkpoint(tmp_dir / "b")
@@ -578,8 +568,7 @@ def run_chaos(
             # scratch, so we do too -- then restore and finish.  No fault
             # plan: the named plans are spent before the resume point,
             # and re-activating one would replay first-epoch faults.
-            resumed = _build_job(seed, samples, threads, batch, None, backend,
-                                 scheduler)
+            resumed = _build_job(seed, samples, threads, batch, None, backend)
             resumed.restore(ckpt)
             resumed_history = _run_segment(resumed, epochs, None, policy)
             _close(resumed)

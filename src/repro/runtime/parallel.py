@@ -32,7 +32,6 @@ wall-clock guess (see :mod:`repro.runtime.supervisor`).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -50,36 +49,6 @@ from repro.runtime.shm import SharedArray, ShmArena
 from repro.runtime.supervisor import derive_task_deadline
 
 
-@dataclass(frozen=True)
-class SliceTask:
-    """One schedulable engine slice over images ``[lo, hi)``.
-
-    The shared currency between the barrier path (which wraps ``run``
-    into :meth:`WorkerPool.run_tasks` thunks) and the task-graph runtime
-    (:mod:`repro.runtime.dag`, which wraps it into graph nodes) -- both
-    execute the identical callable, so the two paths cannot diverge
-    numerically.  ``run`` is idempotent: it writes only its own output
-    slice (or returns a fresh partial), so retries and straggler
-    duplicates are safe.
-    """
-
-    index: int
-    lo: int
-    hi: int
-    run: Callable[[], np.ndarray]
-
-
-def adopt_slice(out: np.ndarray, task: SliceTask, result: object) -> None:
-    """Copy a task result into ``out`` unless it already lives there.
-
-    Covers slices coming back from shared memory and arrays the fault
-    layer replaced with corrupted copies; thread-backend results are
-    views into ``out`` and are left alone.
-    """
-    if isinstance(result, np.ndarray) and result.base is not out:
-        out[task.lo:task.hi] = result
-
-
 class ParallelExecutor:
     """Run a named engine's FP/BP over a batch on the pool's backend."""
 
@@ -95,10 +64,6 @@ class ParallelExecutor:
         self._arena = ShmArena()
         # Machine-model hang deadlines, cached per (method, batch).
         self._deadline_cache: dict[tuple[str, int], float] = {}
-        # (method, batch) pairs whose machine-model estimate was already
-        # published as a ``model.estimate`` event this collector epoch.
-        self._estimates_emitted: set[tuple[str, int]] = set()
-        self._estimates_epoch: tuple[int, ...] | None = None
         # One engine per concurrent attempt: engines hold mutable scratch
         # (unfold workspace, GEMM out= panels, CT-CSR buffers) that must
         # never be shared between two attempts running at once.  A fixed
@@ -186,39 +151,6 @@ class ParallelExecutor:
             self._deadline_cache[key] = deadline
         propose(deadline)
 
-    def _emit_model_estimate(self, method: str, batch: int) -> None:
-        """Publish the machine model's cost estimate for this dispatch.
-
-        One ``model.estimate`` event per (method, batch) per collector
-        activation: the critical-path report joins it against ``dag/node``
-        spans by layer name to build its roofline column.  Works on every
-        backend (thread and serial included), unlike the deadline path.
-        """
-        collectors = telemetry.active_collectors()
-        if not collectors:
-            return
-        epoch = tuple(id(c) for c in collectors)
-        if epoch != self._estimates_epoch:
-            self._estimates_epoch = epoch
-            self._estimates_emitted.clear()
-        key = (method, batch)
-        if key in self._estimates_emitted:
-            return
-        self._estimates_emitted.add(key)
-        phase = "fp" if method == "forward" else "bp"
-        try:
-            modeled = gemm_in_parallel_conv_time(
-                self.spec, phase, batch, xeon_e5_2650(),
-                cores=max(1, self.pool.num_workers),
-            )
-        except ReproError:  # pragma: no cover - degenerate spec
-            return
-        telemetry.event(
-            "model.estimate", layer=self.spec.name, method=method,
-            phase=phase, batch=batch, seconds=modeled,
-            workers=max(1, self.pool.num_workers),
-        )
-
     def _publish(self, role: str, array: np.ndarray) -> SharedArray:
         """Copy ``array`` into the arena's reusable segment for ``role``."""
         seg = self._arena.ensure(role, array.shape, array.dtype)
@@ -259,23 +191,18 @@ class ParallelExecutor:
 
     # -- sliced execution -------------------------------------------------
 
-    def slice_plan(self, method: str, primary: np.ndarray,
-                   shared: np.ndarray) -> tuple[np.ndarray, list[SliceTask]]:
-        """Preallocate the output and build one :class:`SliceTask` per range.
+    def _run_sliced(self, method: str, primary: np.ndarray,
+                    shared: np.ndarray) -> np.ndarray:
+        """Run ``method`` slice by slice into one preallocated output.
 
-        Each task's engine is checked out of the free-list at run time
-        (never captured), so concurrent tasks -- barrier siblings, DAG
-        nodes or straggler duplicates -- never share mutable engine
-        scratch.  Under the process backend this also publishes the
-        operands into the executor's shared-memory arena, so building
-        the plan is itself the prefetch step the DAG overlaps with
-        other layers' GEMMs.  Task results that may live outside ``out``
-        must be adopted via :func:`adopt_slice`.
+        Each slice's engine is checked out of the free-list at run time
+        (never captured), so concurrent slices -- siblings or straggler
+        duplicates -- never share mutable engine scratch.  Slices are
+        idempotent (each writes only its own range), so retries are safe.
         """
         batch = primary.shape[0]
         if batch == 0:
             raise ReproError("empty batch")
-        self._emit_model_estimate(method, batch)
         ranges = self.pool.assignment(batch)
         item_shape = (self.spec.output_shape if method == "forward"
                       else self.spec.input_shape)
@@ -303,19 +230,16 @@ class ParallelExecutor:
 
             thunks = [make(lo, hi) for lo, hi in ranges]
 
-        tasks = [SliceTask(i, lo, hi, thunk)
-                 for i, ((lo, hi), thunk) in enumerate(zip(ranges, thunks))]
-        return out, tasks
-
-    def _run_sliced(self, method: str, primary: np.ndarray,
-                    shared: np.ndarray) -> np.ndarray:
-        out, tasks = self.slice_plan(method, primary, shared)
-        metas = [{"lo": task.lo, "hi": task.hi} for task in tasks]
+        metas = [{"lo": lo, "hi": hi} for lo, hi in ranges]
         with telemetry.span(f"executor/{method}", engine=self.engine_name,
-                            batch=primary.shape[0], workers=len(tasks)):
-            results = self.pool.run_tasks([task.run for task in tasks], metas)
-        for task, result in zip(tasks, results):
-            adopt_slice(out, task, result)
+                            batch=batch, workers=len(ranges)):
+            results = self.pool.run_tasks(thunks, metas)
+        # Slices back from shared memory, and arrays the fault layer
+        # replaced with corrupted copies, are copied in; thread-backend
+        # results are views into ``out`` and are left alone.
+        for (lo, hi), result in zip(ranges, results):
+            if isinstance(result, np.ndarray) and result.base is not out:
+                out[lo:hi] = result
         return out
 
     # -- batch API mirroring ConvEngine -----------------------------------
@@ -328,19 +252,11 @@ class ParallelExecutor:
         """Back-propagate the error batch across the workers."""
         return self._run_sliced("backward_data", out_error, weights)
 
-    def weights_plan(self, out_error: np.ndarray,
-                     inputs: np.ndarray) -> list[SliceTask]:
-        """One dW-partial :class:`SliceTask` per range.
-
-        Each task returns its range's gradient partial; the caller owns
-        the reduction and must accumulate the partials **in range
-        order** -- the fixed order that keeps results bit-identical
-        across backends, worker counts and schedulers.
-        """
+    def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+        """Per-worker dW partials, reduced into one gradient tensor."""
         batch = out_error.shape[0]
         if batch == 0:
             raise ReproError("empty batch")
-        self._emit_model_estimate("backward_weights", batch)
         ranges = self.pool.assignment(batch)
         partial_shape = (len(ranges),) + self.spec.weight_shape
         dtype = out_error.dtype
@@ -365,20 +281,13 @@ class ParallelExecutor:
 
             thunks = [make(lo, hi) for lo, hi in ranges]
 
-        return [SliceTask(i, lo, hi, thunk)
-                for i, ((lo, hi), thunk) in enumerate(zip(ranges, thunks))]
-
-    def backward_weights(self, out_error: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-        """Per-worker dW partials, reduced into one gradient tensor."""
-        tasks = self.weights_plan(out_error, inputs)
-        metas = [{"lo": task.lo, "hi": task.hi} for task in tasks]
+        metas = [{"lo": lo, "hi": hi} for lo, hi in ranges]
         with telemetry.span("executor/backward_weights",
-                            engine=self.engine_name,
-                            batch=out_error.shape[0],
-                            workers=len(tasks)):
-            partials = self.pool.run_tasks([task.run for task in tasks], metas)
+                            engine=self.engine_name, batch=batch,
+                            workers=len(ranges)):
+            partials = self.pool.run_tasks(thunks, metas)
         # Fixed reduction order (range order) keeps the result identical
-        # across backends and worker schedules.
+        # across backends and worker counts.
         total = np.zeros(self.spec.weight_shape, dtype=out_error.dtype)
         for partial in partials:
             if partial is not None:

@@ -433,143 +433,12 @@ class TestForkSafety:
         assert _lint(code) == []
 
 
-class TestDagCaptureSafety:
-    """CHK-DAG: node callables capturing mutable engine scratch."""
-
-    def test_captured_engine_instance_is_an_error(self):
-        code = """
-        from repro.ops.engine import make_engine
-
-        def build(graph, spec, weights, x):
-            engine = make_engine("parallel-gemm", spec)
-            graph.add_node("fp", lambda: engine.forward(x, weights))
-        """
-        findings = _lint(code)
-        assert any("work-stealing scheduler" in f.message
-                   and "mutable scratch" in f.message for f in findings)
-
-    def test_captured_checked_out_engine_is_an_error(self):
-        code = """
-        def build(graph, executor, x, weights):
-            engine = executor._checkout_engine()
-            def node():
-                return engine.forward(x, weights)
-            graph.add_node("fp", node)
-        """
-        findings = _lint(code)
-        assert any("graph-build time" in f.message for f in findings)
-
-    def test_captured_workspace_is_an_error(self):
-        code = """
-        from repro.ops.workspace import Workspace
-
-        def build(graph, shape):
-            scratch = Workspace()
-            graph.add_node("fp", lambda: scratch.request("a", shape))
-        """
-        findings = _lint(code)
-        assert any("workspace buffer" in f.message for f in findings)
-
-    def test_checkout_inside_node_body_is_clean(self):
-        code = """
-        def build(graph, executor, x, weights):
-            def node():
-                engine = executor._checkout_engine()
-                try:
-                    return engine.forward(x, weights)
-                finally:
-                    executor._return_engine(engine)
-            graph.add_node("fp", node)
-        """
-        assert _lint(code) == []
-
-    def test_engine_outside_add_node_is_clean(self):
-        code = """
-        from repro.ops.engine import make_engine
-
-        def run(spec, x, weights):
-            engine = make_engine("parallel-gemm", spec)
-            return engine.forward(x, weights)
-        """
-        assert _lint(code) == []
-
-    def test_plan_task_capture_is_clean(self):
-        code = """
-        def build(graph, executor, padded, weights):
-            ctx = {}
-
-            def prep():
-                ctx["out"], ctx["tasks"] = executor.slice_plan(
-                    "forward", padded, weights
-                )
-
-            prep_node = graph.add_node("prep", prep)
-            graph.add_node("range", lambda: ctx["tasks"][0].run(),
-                           (prep_node,))
-        """
-        assert _lint(code) == []
-
-
-class TestDagWrappedCallables:
-    """CHK-DAG sees through functools.partial and bound-method nodes."""
-
-    def test_partial_shipping_an_engine_is_an_error(self):
-        code = """
-        import functools
-        from repro.ops.engine import make_engine
-
-        def build(graph, spec, x, weights):
-            engine = make_engine("parallel-gemm", spec)
-            graph.add_node(
-                "fp", functools.partial(run_slice, engine, x, weights)
-            )
-        """
-        findings = _lint(code)
-        assert len(findings) == 1
-        assert "functools.partial(...)" in findings[0].message
-
-    def test_partial_shipping_safe_arguments_is_clean(self):
-        code = """
-        import functools
-
-        def build(graph, spec, x, weights):
-            graph.add_node(
-                "fp", functools.partial(run_slice, spec, x, weights)
-            )
-        """
-        assert _lint(code) == []
-
-    def test_bound_method_of_workspace_is_an_error(self):
-        code = """
-        from repro.ops.workspace import Workspace
-
-        def build(graph):
-            scratch = Workspace()
-            graph.add_node("zero", scratch.reset)
-        """
-        findings = _lint(code)
-        assert len(findings) == 1
-        assert "bound method 'scratch.reset'" in findings[0].message
-
-    def test_bound_method_of_safe_object_is_clean(self):
-        code = """
-        def build(graph, recorder):
-            graph.add_node("note", recorder.flush)
-        """
-        assert _lint(code) == []
-
-    def test_method_call_inside_lambda_is_not_a_bound_method(self):
-        code = """
-        def build(graph, ctx):
-            graph.add_node("run", lambda: ctx.run_all())
-        """
-        assert _lint(code) == []
+class TestForkWrappedCallables:
+    """CHK-FORK sees through functools.partial submissions."""
 
     def test_fork_submission_keeps_descriptor_extraction_clean(self):
-        # The bound-method rule is CHK-DAG only: extracting
-        # seg.descriptor inside a partial is the *sanctioned* CHK-FORK
-        # remediation and must stay clean (regression guard for the
-        # rule gating).
+        # Extracting seg.descriptor inside a partial is the
+        # *sanctioned* CHK-FORK remediation and must stay clean.
         code = """
         import functools
         from repro.runtime.shm import SharedArray
@@ -586,9 +455,8 @@ class TestDagWrappedCallables:
         assert _lint(code) == []
 
     def test_fork_partial_shipping_unsafe_handle_is_an_error(self):
-        # Partial see-through applies to CHK-FORK too: shipping the
-        # handle itself (not its descriptor) through a partial is the
-        # bug the descriptor pattern exists to avoid.
+        # Shipping the handle itself (not its descriptor) through a
+        # partial is the bug the descriptor pattern exists to avoid.
         code = """
         import functools
         from repro.runtime.shm import SharedArray

@@ -65,7 +65,7 @@ class TestRunAll:
                                                  networks=[]))
 
     def test_analyzers_registry_matches_cli_choices(self):
-        assert ANALYZERS == ("kernel-ir", "gen-source", "graph", "effects",
+        assert ANALYZERS == ("kernel-ir", "gen-source", "graph",
                              "concurrency", "lifecycle")
 
     def test_short_aliases_resolve_to_the_pass_correctness_gate(self):

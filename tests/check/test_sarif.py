@@ -38,11 +38,11 @@ class TestLocations:
 
     def test_graph_node_location_becomes_logical(self):
         log = to_sarif(_report([
-            _finding(analyzer="effects", location="bp/conv0/dw_reduce"),
+            _finding(analyzer="graph", location="mnist/conv0"),
         ]))
         logical = log["runs"][0]["results"][0]["locations"][0][
             "logicalLocations"][0]
-        assert logical["fullyQualifiedName"] == "bp/conv0/dw_reduce"
+        assert logical["fullyQualifiedName"] == "mnist/conv0"
 
     def test_non_numeric_line_suffix_stays_logical(self):
         log = to_sarif(_report([_finding(location="kernel:conv3x3")]))
@@ -53,19 +53,19 @@ class TestLocations:
 class TestToolMetadata:
     def test_one_rule_per_contributing_analyzer(self):
         log = to_sarif(_report([
-            _finding(analyzer="effects", location="fp/x"),
-            _finding(analyzer="effects", location="fp/y"),
+            _finding(analyzer="graph", location="mnist/x"),
+            _finding(analyzer="graph", location="mnist/y"),
             _finding(analyzer="lifecycle"),
         ]))
         driver = log["runs"][0]["tool"]["driver"]
         assert driver["name"] == "repro-check"
         assert [rule["id"] for rule in driver["rules"]] == \
-            ["effects", "lifecycle"]
+            ["graph", "lifecycle"]
 
     def test_report_meta_lands_in_run_properties(self):
-        log = to_sarif(_report([], meta={"effect_graphs": 8,
+        log = to_sarif(_report([], meta={"networks": 4,
                                          "lifecycle_files": 3}))
-        assert log["runs"][0]["properties"] == {"effect_graphs": 8,
+        assert log["runs"][0]["properties"] == {"networks": 4,
                                                 "lifecycle_files": 3}
         assert log["version"] == SARIF_VERSION
         assert log["runs"][0]["results"] == []

@@ -32,7 +32,7 @@ class TestSuite:
             "gemm_blocked", "unfold", "stencil_fp", "fused_fp",
             "schedule_search", "ctcsr_build", "sparse_bp", "pool_map",
             "par_stencil_fp", "par_sparse_bp",
-            "train_epoch", "dag_train_epoch",
+            "train_epoch",
         )
 
     def test_fused_description_reports_traffic_win(self):

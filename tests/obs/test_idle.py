@@ -33,8 +33,8 @@ class TestWorkerIdleTimes:
         spans = [
             span("pool/task", 1, 0.0, 1.0),
             span("pool/task", 1, 2.0, 3.0),
-            span("dag/node", 2, 0.0, 2.0),
-            span("dag/node", 2, 2.5, 3.0),
+            span("pool/task", 2, 0.0, 2.0),
+            span("pool/task", 2, 2.5, 3.0),
         ]
         idles = worker_idle_times(spans)
         assert idles == {1: 1.0, 2: 0.5}
@@ -44,9 +44,9 @@ class TestWorkerIdleTimes:
         # A task span enclosing another (retry wrapper, sub-span) must
         # not count the inner span's surroundings as idle.
         spans = [
-            span("dag/node", 1, 0.0, 4.0),
-            span("dag/node", 1, 1.0, 2.0),
-            span("dag/node", 1, 5.0, 6.0),
+            span("pool/task", 1, 0.0, 4.0),
+            span("pool/task", 1, 1.0, 2.0),
+            span("pool/task", 1, 5.0, 6.0),
         ]
         assert worker_idle_times(spans) == {1: 1.0}
 
@@ -54,9 +54,9 @@ class TestWorkerIdleTimes:
         # Second span starts inside the first but ends later: idle only
         # starts after the later end.
         spans = [
-            span("dag/node", 1, 0.0, 2.0),
-            span("dag/node", 1, 1.0, 5.0),
-            span("dag/node", 1, 6.0, 7.0),
+            span("pool/task", 1, 0.0, 2.0),
+            span("pool/task", 1, 1.0, 5.0),
+            span("pool/task", 1, 6.0, 7.0),
         ]
         assert worker_idle_times(spans) == {1: 1.0}
 
@@ -98,8 +98,8 @@ class TestWorkerIdleTimes:
         assert len(idles) == 1
         assert all(v >= 0.0 for v in idles.values())
 
-    def test_default_names_cover_both_schedulers(self):
-        assert set(WORKER_SPAN_NAMES) == {"pool/task", "dag/node"}
+    def test_default_names_are_pool_tasks(self):
+        assert WORKER_SPAN_NAMES == ("pool/task",)
 
 
 class TestWorkerProcessIdle:

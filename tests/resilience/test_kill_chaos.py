@@ -4,7 +4,7 @@ These strike live worker processes with real SIGKILL / SIGSTOP while a
 training run is in flight, so they are the slowest tests in the suite --
 one leg per plan, sized to finish quickly while still crossing an epoch
 boundary (the mid-step strike lands at the top of epoch 2).  The full
-plan x scheduler matrix runs in CI's chaos job, not here.
+plan set runs in CI's chaos job, not here.
 """
 
 import pytest
@@ -20,15 +20,13 @@ from repro.runtime import shm
 
 
 class TestRealKillPlans:
-    def test_kill9_dag_redispatches_and_stays_bit_identical(self):
-        # The ISSUE acceptance scenario: SIGKILL a worker mid-epoch with
-        # the process backend under the dag scheduler.  Training must
-        # complete, the weights must be bit-identical to an unfaulted
-        # serial run, no /dev/shm segment may leak, and a SIGKILL'd
-        # journaling child must resume to the same weights.
+    def test_kill9_barrier_redispatches_and_stays_bit_identical(self):
+        # SIGKILL a worker mid-epoch with the process backend.  Training
+        # must complete, the weights must be bit-identical to an
+        # unfaulted serial run, no /dev/shm segment may leak, and a
+        # SIGKILL'd journaling child must resume to the same weights.
         report = run_chaos(plan_name="kill9", seed=0, epochs=2,
-                           samples=24, threads=2, scheduler="dag",
-                           check_resume=True)
+                           samples=24, threads=2, check_resume=True)
         assert report.survived, report.error
         assert report.improved
         assert report.bit_identical is True
@@ -43,7 +41,7 @@ class TestRealKillPlans:
         # SIGSTOP leaves the worker alive but silent; only the heartbeat
         # deadline (pinned short by the plan) gets the job unstuck.
         report = run_chaos(plan_name="hang", seed=0, epochs=2,
-                           samples=24, threads=2, scheduler="barrier")
+                           samples=24, threads=2)
         assert report.survived, report.error
         assert report.bit_identical is True
         assert report.leaked_segments == []

@@ -103,7 +103,7 @@ class TestWorkerTelemetryBudget:
         network = mnist_net(scale=0.25, rng=rng, threads=2,
                             backend="process")
         data = mnist_like(16, seed=0)
-        loop = TrainingLoop(network, data, batch_size=8, scheduler="dag")
+        loop = TrainingLoop(network, data, batch_size=8)
         try:
             loop.run(1)  # spawn workers + warm engine caches untimed
             enabled, disabled = [], []
