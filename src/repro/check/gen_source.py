@@ -15,14 +15,10 @@ proves, per generated kernel:
   repeat once per tile, so the check demands instead that every tap
   appears the same number of times and, per tap, that the destination
   slices tile the output domain exactly once;
-* the generated function touches only whitelisted names: ``np``, its
-  own parameters and names the function itself assigns (the fused
-  kernel's ``act``/``win``/``flat``/``idx`` scratch);
+* the generated function touches only whitelisted names: ``np`` and its
+  own parameters;
 * slice bounds are literals, as the pointer-shifting transformation
-  requires (a non-constant bound means the specializer regressed);
-* fused conv+ReLU+pool kernels additionally carry the pool geometry
-  contract: a ``bias`` parameter, and the pool-row blocks written to
-  ``out``/``argmax`` must partition the pooled rows exactly once.
+  requires (a non-constant bound means the specializer regressed).
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from repro.check.findings import Finding
 from repro.core.convspec import ConvSpec
 from repro.sparse import codegen as sparse_codegen
 from repro.stencil import emit as stencil_emit
-from repro.stencil.loopir import PoolWindow
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from repro.stencil.passes import SchedulePipeline
@@ -63,8 +58,7 @@ class KernelContract:
     ``dest_param``/``dest_dims``/``dest_positions``/``dest_shift``
     drive the per-tap destination-coverage check (the accumulation
     target's spatial slices must tile the per-tap index set exactly
-    once); ``block_params``/``block_dim``/``block_extent`` require the
-    fused kernel's pool-row blocks to partition the pooled rows.
+    once).
     """
 
     arrays: dict[str, tuple[int | None, ...]]
@@ -77,9 +71,6 @@ class KernelContract:
     dest_dims: tuple[int, int] = (1, 2)
     dest_positions: tuple[int, int] = (0, 0)
     dest_shift: tuple[int, int] | None = None
-    block_params: tuple[str, ...] = ()
-    block_dim: int = 1
-    block_extent: int = 0
 
 
 def _contracts(spec: ConvSpec) -> dict[str, KernelContract]:
@@ -128,38 +119,6 @@ def _contracts(spec: ConvSpec) -> dict[str, KernelContract]:
     }
 
 
-def fused_contract(spec: ConvSpec, pool_kernel: int,
-                   pool_stride: int | None = None) -> KernelContract:
-    """The extended contract of the fused conv+ReLU+pool kernel.
-
-    Beyond the stencil-fp checks it requires the ``bias`` parameter, the
-    pooled ``out``/``argmax`` extents, and that the emitted pool-row
-    blocks partition the pooled rows exactly once.  Taps legally repeat
-    once per pool-row block, all with equal multiplicity.
-    """
-    pool = PoolWindow(pool_kernel, pool_stride or pool_kernel)
-    py = pool.out_extent(spec.out_ny)
-    px = pool.out_extent(spec.out_nx)
-    support = frozenset(
-        (ky, kx) for ky in range(spec.fy) for kx in range(spec.fx)
-    )
-    return KernelContract(
-        arrays={
-            "inputs": spec.input_shape,
-            "weights": (spec.nf, spec.nc, spec.fy, spec.fx),
-            "bias": (spec.nf,),
-            "out": (spec.nf, py, px),
-            "argmax": (spec.nf, py, px),
-        },
-        tap_param="weights", tap_dims=(2, 3), support=support,
-        counts={},
-        allow_repeated_taps=True,
-        block_params=("out", "argmax"),
-        block_dim=1,
-        block_extent=py,
-    )
-
-
 #: ``SchedulePipeline.family`` -> contract key in :func:`_contracts`.
 _FAMILY_CONTRACTS = {
     "fp": "stencil-fp",
@@ -179,9 +138,6 @@ def contract_for(spec: ConvSpec,
     slice-count pins, which assume the untiled full-plane emission; the
     per-tap destination-coverage check remains exact either way.
     """
-    if pipeline.family == "fused_fp":
-        return fused_contract(spec, pipeline.pool_kernel,
-                              pipeline.pool_stride or None)
     contract = _contracts(spec)[_FAMILY_CONTRACTS[pipeline.family]]
     if not pipeline.is_default:
         contract = replace(contract, counts={}, allow_repeated_taps=True)
@@ -381,52 +337,6 @@ def _check_dest_coverage(
     return findings
 
 
-def _check_block_coverage(
-    func: ast.FunctionDef, contract: KernelContract, location: str
-) -> list[Finding]:
-    """Fused kernels: pool-row blocks must partition the pooled rows."""
-    findings: list[Finding] = []
-    for param in contract.block_params:
-        rows: list[int] = []
-        literal = True
-        for stmt in ast.walk(func):
-            if not isinstance(stmt, ast.Assign):
-                continue
-            for target in stmt.targets:
-                if not (isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == param):
-                    continue
-                elements = _index_elements(target)
-                if contract.block_dim >= len(elements):
-                    continue
-                selected = _index_set(
-                    elements[contract.block_dim], contract.block_extent
-                )
-                if selected is None:
-                    findings.append(_finding(
-                        "error", location,
-                        f"{param} pool-row block bound is not a literal int",
-                    ))
-                    literal = False
-                    continue
-                rows.extend(selected)
-        if not literal:
-            continue
-        if len(rows) != len(set(rows)):
-            findings.append(_finding(
-                "error", location,
-                f"{param} pool-row blocks overlap",
-            ))
-        if set(rows) != set(range(contract.block_extent)):
-            findings.append(_finding(
-                "error", location,
-                f"{param} pool-row blocks cover {sorted(set(rows))} "
-                f"instead of 0..{contract.block_extent - 1}",
-            ))
-    return findings
-
-
 def verify_kernel_source(
     source: str, contract: KernelContract, location: str
 ) -> list[Finding]:
@@ -452,15 +362,7 @@ def verify_kernel_source(
             f"generated function is missing tensor parameters "
             f"{sorted(missing)}",
         ))
-
-    # Names the function itself assigns (fused-kernel scratch like
-    # ``act``/``win``/``flat``/``idx``) are as trusted as parameters;
-    # anything else except ``np`` is still a stray global.
-    assigned = {
-        node.id for node in ast.walk(func)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
-    }
-    allowed = params | assigned | {"np"}
+    allowed = params | {"np"}
 
     taps: list[tuple[int, int]] = []
     for node in ast.walk(func):
@@ -533,7 +435,6 @@ def verify_kernel_source(
             f"taps outside the kernel support: {sorted(unexpected)}",
         ))
     findings.extend(_check_dest_coverage(func, contract, location))
-    findings.extend(_check_block_coverage(func, contract, location))
     return findings
 
 
@@ -542,9 +443,7 @@ def verify_generated_sources(specs: list[ConvSpec]) -> list[Finding]:
 
     Specs must be engine-facing (``pad == 0``); the emitters reject
     padded specs and that rejection is reported as a finding rather
-    than raised.  Specs whose output plane admits a 2x2 max pool also
-    get their fused conv+ReLU+pool emission verified against the
-    extended fused contract.
+    than raised.
     """
     findings: list[Finding] = []
     for spec in specs:
@@ -561,16 +460,4 @@ def verify_generated_sources(specs: list[ConvSpec]) -> list[Finding]:
             findings.extend(
                 verify_kernel_source(kernel.source, contracts[family], location)
             )
-        if spec.out_ny >= 2 and spec.out_nx >= 2:
-            location = f"{spec.name or spec.describe()}/stencil-fused-fp"
-            try:
-                kernel = stencil_emit.emit_fused_forward_kernel(spec, 2)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                findings.append(_finding(
-                    "error", location, f"emitter failed: {exc}"
-                ))
-                continue
-            findings.extend(verify_kernel_source(
-                kernel.source, fused_contract(spec, 2), location
-            ))
     return findings

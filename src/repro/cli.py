@@ -122,8 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("dims", type=int, nargs=4,
                        metavar=("Nx", "Nf", "Nc", "Fx"))
     sched.add_argument("--stride", type=int, default=1)
-    sched.add_argument("--pool", type=int, default=0, metavar="K",
-                       help="fuse a KxK max-pool into the forward phase")
     sched.add_argument("--seed", type=int, default=0,
                        help="seed for the random schedule samples")
     sched.add_argument("--cores", type=int, default=1)
@@ -359,7 +357,7 @@ def _cmd_schedule(args, out) -> int:
                     sy=args.stride, sx=args.stride, name="cli-conv")
     search = ScheduleSearch(cores=args.cores, batch=args.batch,
                             seed=args.seed)
-    choices = search.search_layer(spec, pool_kernel=args.pool)
+    choices = search.search_layer(spec)
     rows = []
     for phase, choice in choices.items():
         rows.append([

@@ -151,34 +151,12 @@ class Autotuner:
     """
 
     def __init__(self, backend: CostBackend, extended: bool = False,
-                 quarantine: QuarantineRegistry | None = None,
-                 schedule_search: "object | None" = None):
+                 quarantine: QuarantineRegistry | None = None):
         self.backend = backend
         self.fp_candidates = (
             FP_CANDIDATES_EXTENDED if extended else FP_CANDIDATES
         )
         self.quarantine = quarantine or default_registry()
-        #: Optional :class:`repro.nn.schedule.ScheduleSearch`.  When set,
-        #: layers that deploy a generated kernel additionally get their
-        #: loop-IR schedule searched, and the winning pipeline is
-        #: recorded on the plan (``fp_schedule`` / ``bp_schedule``).
-        self.schedule_search = schedule_search
-
-    def _schedules(self, spec: ConvSpec, fp_engine: str,
-                   bp_engine: str) -> tuple[str, str]:
-        """Schedule descriptions for the chosen generated kernels."""
-        search = self.schedule_search
-        if search is None:
-            return "", ""
-        fp_schedule = ""
-        bp_schedule = ""
-        if fp_engine == "stencil":
-            fp_schedule = search.search(spec, "fp").pipeline.describe()
-        if bp_engine == "sparse":
-            bp_schedule = search.search(
-                spec, "sparse_bp_weights"
-            ).pipeline.describe()
-        return fp_schedule, bp_schedule
 
     def _pick(self, candidates: tuple[str, ...], phase: str, spec: ConvSpec,
               sparsity: float, layer_name: str = "") -> tuple[str, dict[str, float]]:
@@ -204,7 +182,6 @@ class Autotuner:
                                            sparsity, layer_name)
         bp_engine, bp_timings = self._pick(BP_CANDIDATES, "bp", spec,
                                            sparsity, layer_name)
-        fp_schedule, bp_schedule = self._schedules(spec, fp_engine, bp_engine)
         return LayerPlan(
             layer_name=layer_name or spec.name or "conv",
             spec=spec,
@@ -213,8 +190,6 @@ class Autotuner:
             fp_timings=fp_timings,
             bp_timings=bp_timings,
             sparsity=sparsity,
-            fp_schedule=fp_schedule,
-            bp_schedule=bp_schedule,
         )
 
     def replan_bp(self, plan: LayerPlan, sparsity: float) -> LayerPlan:
@@ -226,7 +201,6 @@ class Autotuner:
         """
         bp_engine, bp_timings = self._pick(BP_CANDIDATES, "bp", plan.spec,
                                            sparsity, plan.layer_name)
-        _, bp_schedule = self._schedules(plan.spec, "", bp_engine)
         return LayerPlan(
             layer_name=plan.layer_name,
             spec=plan.spec,
@@ -235,6 +209,4 @@ class Autotuner:
             fp_timings=plan.fp_timings,
             bp_timings=bp_timings,
             sparsity=sparsity,
-            fp_schedule=plan.fp_schedule,
-            bp_schedule=bp_schedule,
         )

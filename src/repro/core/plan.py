@@ -42,12 +42,6 @@ class LayerPlan:
     fp_timings: dict[str, float] = field(default_factory=dict)
     bp_timings: dict[str, float] = field(default_factory=dict)
     sparsity: float = 0.0
-    #: Schedule-pipeline descriptions chosen by the loop-IR schedule
-    #: search (:class:`repro.nn.schedule.ScheduleSearch`), when the
-    #: technique deploys a generated kernel; empty otherwise.  The
-    #: fingerprint of these strings keys the emitter codegen caches.
-    fp_schedule: str = ""
-    bp_schedule: str = ""
 
     def __post_init__(self) -> None:
         if self.fp_engine not in FP_CANDIDATES_EXTENDED + (FALLBACK_ENGINE,):

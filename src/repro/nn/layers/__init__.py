@@ -4,7 +4,6 @@ from repro.nn.layers.activations import FlattenLayer, ReLULayer
 from repro.nn.layers.base import Layer
 from repro.nn.layers.conv import ConvLayer
 from repro.nn.layers.dense import DenseLayer
-from repro.nn.layers.fused import FusedConvReluPool, fuse_conv_relu_pool
 from repro.nn.layers.pool import MaxPoolLayer
 
 __all__ = [
@@ -14,6 +13,4 @@ __all__ = [
     "ReLULayer",
     "FlattenLayer",
     "DenseLayer",
-    "FusedConvReluPool",
-    "fuse_conv_relu_pool",
 ]

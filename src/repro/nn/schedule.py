@@ -12,7 +12,8 @@ Two unrelated-but-neighbouring notions of "schedule" live here:
   (:mod:`repro.stencil.passes`), prices each with the multi-level
   roofline via its :class:`~repro.stencil.loopir.WorkEstimate`, gates
   the winner through the ``repro.check`` kernel-IR and generated-source
-  verifiers, and caches the choice per ``(spec, family)``.
+  verifiers plus a bitwise probe against the default emission, and
+  caches the choice per ``(spec, family)``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,13 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.convspec import ConvSpec
 from repro.errors import ReproError
 from repro.machine.spec import MachineSpec, xeon_e5_2650
-from repro.stencil.loopir import PoolWindow, stable_fingerprint
+from repro.stencil.loopir import stable_fingerprint
 from repro.stencil.passes import (
-    Fuse,
     Reorder,
     SchedulePass,
     SchedulePipeline,
@@ -117,7 +119,8 @@ class ScheduleChoice:
     seconds: float
     #: ``pipeline.describe() -> roofline seconds`` per candidate searched.
     timings: tuple[tuple[str, float], ...]
-    #: True when the winner passed the kernel-IR + generated-source gate.
+    #: True when the winner passed the kernel-IR + generated-source gate
+    #: (and, for a non-default stencil schedule, the bitwise probe).
     verified: bool
 
     @property
@@ -127,9 +130,7 @@ class ScheduleChoice:
     def speedup_over_default(self) -> float:
         """Predicted speedup of the chosen schedule over the default."""
         default = dict(self.timings).get(
-            default_pipeline(self.family,
-                             pool_kernel=self.pipeline.pool_kernel,
-                             pool_stride=self.pipeline.pool_stride).describe()
+            default_pipeline(self.family).describe()
         )
         if not default or not self.seconds:
             return 1.0
@@ -145,7 +146,9 @@ class ScheduleSearch:
     prices each candidate's :class:`~repro.stencil.loopir.WorkEstimate`
     with the machine roofline at the searched batch/core count, and
     walks the candidates cheapest-first until one passes the
-    ``repro.check`` verifiers (basic-block IR plus emitted-source AST).
+    ``repro.check`` verifiers (basic-block IR plus emitted-source AST)
+    and, for a non-default stencil schedule, reproduces the default
+    emission bit for bit on a seeded probe input.
 
     Determinism: the random samples come from :class:`random.Random`
     seeded by a stable hash of ``(spec, family, seed)``, candidate order
@@ -172,7 +175,7 @@ class ScheduleSearch:
         self.seed = seed
         self.min_candidates = min_candidates
         self.verify = verify
-        self._cache: dict[tuple[ConvSpec, str, int, int], ScheduleChoice] = {}
+        self._cache: dict[tuple[ConvSpec, str], ScheduleChoice] = {}
 
     # -- candidate enumeration --------------------------------------------
 
@@ -195,8 +198,6 @@ class ScheduleSearch:
 
     def _pad_with_register_budgets(
         self, cands: list[SchedulePipeline], family: str,
-        prefix: tuple[SchedulePass, ...] = (),
-        pool_kernel: int = 0, pool_stride: int = 0,
     ) -> list[SchedulePipeline]:
         """Vectorize-budget variants fill out tiny candidate spaces."""
         for width, budget in itertools.product((8, 4, 16),
@@ -205,11 +206,9 @@ class ScheduleSearch:
                 break
             cands.append(SchedulePipeline(
                 family=family,
-                passes=prefix + (
+                passes=(
                     Vectorize(num_registers=budget, vector_width=width),
                 ),
-                pool_kernel=pool_kernel,
-                pool_stride=pool_stride,
             ))
         return cands
 
@@ -234,7 +233,7 @@ class ScheduleSearch:
         # Hoist the absorbed parallel dims in front of the taps; legal for
         # gather-style nests (every output element keeps its tap order).
         nest = default_pipeline(family).base_nest(spec)
-        names = tuple(li.dim.name for li in nest.stages[0].loops)
+        names = tuple(li.dim.name for li in nest.stage.loops)
         hoisted = tuple(n for n in names if n in ("f", "c")) + tuple(
             n for n in names if n not in ("f", "c")
         )
@@ -287,47 +286,14 @@ class ScheduleSearch:
         cands = self._dedupe(cands)
         return self._pad_with_register_budgets(cands, family)
 
-    def _fused_candidates(self, spec: ConvSpec, pool_kernel: int,
-                          pool_stride: int) -> list[SchedulePipeline]:
-        """fused_fp: pool-row block sizes plus register-budget variants."""
-        stride = pool_stride or pool_kernel
-        py = PoolWindow(pool_kernel, stride).out_extent(spec.out_ny)
-
-        def fused(block_rows: int,
-                  vec: Vectorize = Vectorize()) -> SchedulePipeline:
-            return SchedulePipeline(
-                family="fused_fp", passes=(Fuse(block_rows), vec),
-                pool_kernel=pool_kernel, pool_stride=stride,
-            )
-
-        cands = [fused(b) for b in range(1, min(py, 6) + 1)]
-        if py > 6:
-            cands.append(fused(py))
-        rng = self._rng(spec, f"fused_fp[{pool_kernel},{stride}]")
-        for _ in range(32):
-            if len(cands) >= self.min_candidates:
-                break
-            cands.append(fused(rng.randrange(1, py + 1)))
-            cands = self._dedupe(cands)
-        for budget in _REGISTER_BUDGETS:
-            for block_rows in range(1, py + 1):
-                if len(cands) >= self.min_candidates:
-                    break
-                cands.append(
-                    fused(block_rows, Vectorize(num_registers=budget))
-                )
-        return self._dedupe(cands)
-
-    def candidates(self, spec: ConvSpec, family: str, pool_kernel: int = 0,
-                   pool_stride: int = 0) -> tuple[SchedulePipeline, ...]:
+    def candidates(self, spec: ConvSpec,
+                   family: str) -> tuple[SchedulePipeline, ...]:
         """The deterministic candidate set for one (spec, family) pair."""
         if family in ("fp", "bp_data"):
             out = self._conv_candidates(spec, family)
         elif family in ("bp_weights", "sparse_bp_weights"):
             tail = ("oy", "ox")
             out = self._tap_reorder_candidates(spec, family, tail)
-        elif family == "fused_fp":
-            out = self._fused_candidates(spec, pool_kernel, pool_stride)
         elif family == "sparse_bp_data":
             # The EI taps accumulate into overlapping input slices
             # (REDUCE_ORDERED); the only legal schedule is the default.
@@ -362,27 +328,51 @@ class ScheduleSearch:
             return stencil_emit.emit_backward_data_kernel(spec, pipeline)
         if family == "bp_weights":
             return stencil_emit.emit_backward_weights_kernel(spec, pipeline)
-        if family == "fused_fp":
-            return stencil_emit.emit_fused_forward_kernel(
-                spec, pipeline.pool_kernel, pipeline.pool_stride or None,
-                pipeline,
-            )
         if family == "sparse_bp_data":
             return sparse_codegen.emit_sparse_backward_data(spec, pipeline)
         if family == "sparse_bp_weights":
             return sparse_codegen.emit_sparse_backward_weights(spec, pipeline)
         raise ReproError(f"no emitter for family {family!r}")
 
+    def _matches_default(self, spec: ConvSpec, pipeline: SchedulePipeline,
+                         kernel) -> bool:
+        """Run ``kernel`` and its family's default emission on one seeded
+        probe input; True only when the outputs are bitwise equal.
+
+        The structural verifiers cannot see accumulation-order drift: a
+        tiled schedule inside the passes' envelope can still round
+        differently from the default on full-size operands, because BLAS
+        picks its internal path by operand size.
+        """
+        rng = np.random.default_rng(
+            int(stable_fingerprint(f"{spec.describe()}|probe", 8), 16)
+        )
+        inputs = rng.standard_normal(spec.input_shape).astype(np.float32)
+        weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
+        out_error = rng.standard_normal(spec.output_shape).astype(np.float32)
+        args, shape = {
+            "fp": ((inputs, weights), spec.output_shape),
+            "bp_data": ((out_error, weights), spec.input_shape),
+            "bp_weights": ((out_error, inputs), spec.weight_shape),
+        }[pipeline.family]
+        want = np.zeros(shape, dtype=np.float32)
+        got = np.zeros(shape, dtype=np.float32)
+        self._emit(spec, default_pipeline(pipeline.family))(*args, want)
+        kernel(*args, got)
+        return got.tobytes() == want.tobytes()
+
     def _passes_verifiers(self, spec: ConvSpec,
                           pipeline: SchedulePipeline) -> bool:
-        """Gate a candidate through the ``repro.check`` verifiers."""
+        """Gate a candidate through the ``repro.check`` verifiers and, for
+        a non-default stencil schedule, the bitwise probe."""
         from repro.check.gen_source import contract_for, verify_kernel_source
         from repro.check.kernel_ir import verify_basic_block
 
         location = f"{spec.name or spec.describe()}/{pipeline.describe()}"
+        stencil = not pipeline.family.startswith("sparse")
         findings = []
         try:
-            if not pipeline.family.startswith("sparse"):
+            if stencil:
                 nest = pipeline.build_nest(spec)
                 tile = pipeline.vector_block(spec)
                 findings.extend(verify_basic_block(
@@ -393,23 +383,25 @@ class ScheduleSearch:
             findings.extend(verify_kernel_source(
                 kernel.source, contract_for(spec, pipeline), location,
             ))
+            if any(f.severity == "error" for f in findings):
+                return False
+            return (not stencil or pipeline.is_default
+                    or self._matches_default(spec, pipeline, kernel))
         except Exception:  # noqa: BLE001 - an unemittable schedule loses
             return False
-        return not any(f.severity == "error" for f in findings)
 
     # -- the search itself -------------------------------------------------
 
-    def search(self, spec: ConvSpec, family: str, pool_kernel: int = 0,
-               pool_stride: int = 0) -> ScheduleChoice:
+    def search(self, spec: ConvSpec, family: str) -> ScheduleChoice:
         """Pick the cheapest verifier-clean pipeline for (spec, family).
 
         Results are cached; repeated searches are free and identical.
         """
-        key = (spec, family, pool_kernel, pool_stride)
+        key = (spec, family)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        cands = self.candidates(spec, family, pool_kernel, pool_stride)
+        cands = self.candidates(spec, family)
         priced = [(self._price(spec, pipe), i, pipe)
                   for i, pipe in enumerate(cands)]
         timings = tuple((pipe.describe(), seconds)
@@ -423,8 +415,7 @@ class ScheduleSearch:
                 chosen, seconds, verified = pipe, cand_seconds, self.verify
                 break
         if chosen is None:  # pragma: no cover - default always verifies
-            chosen = default_pipeline(family, pool_kernel=pool_kernel,
-                                      pool_stride=pool_stride)
+            chosen = default_pipeline(family)
             seconds = dict(timings).get(chosen.describe(), float("inf"))
         choice = ScheduleChoice(family=family, pipeline=chosen,
                                 seconds=seconds, timings=timings,
@@ -432,19 +423,10 @@ class ScheduleSearch:
         self._cache[key] = choice
         return choice
 
-    def search_layer(self, spec: ConvSpec, pool_kernel: int = 0,
-                     pool_stride: int = 0) -> dict[str, ScheduleChoice]:
-        """Search every stencil phase of one conv layer.
-
-        With a pool geometry the forward phase searches the fused
-        conv+ReLU+pool family instead of the plain stencil FP family.
-        """
-        if pool_kernel > 0:
-            fp = self.search(spec, "fused_fp", pool_kernel, pool_stride)
-        else:
-            fp = self.search(spec, "fp")
+    def search_layer(self, spec: ConvSpec) -> dict[str, ScheduleChoice]:
+        """Search every stencil phase of one conv layer."""
         return {
-            "fp": fp,
+            "fp": self.search(spec, "fp"),
             "bp_data": self.search(spec, "bp_data"),
             "bp_weights": self.search(spec, "bp_weights"),
         }

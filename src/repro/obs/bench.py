@@ -294,45 +294,6 @@ def _train_teardown(state) -> None:
         layer.close()
 
 
-def _fused_setup():
-    from repro.stencil.emit import emit_fused_forward_kernel
-
-    spec = _conv_spec("bench-fused")
-    kernel = emit_fused_forward_kernel(spec, 2)
-    rng = np.random.default_rng(0)
-    inputs = rng.standard_normal((4, *spec.input_shape)).astype(np.float32)
-    weights = rng.standard_normal(spec.weight_shape).astype(np.float32)
-    bias = rng.standard_normal((spec.nf,)).astype(np.float32)
-    py = spec.out_ny // 2
-    px = spec.out_nx // 2
-    out = np.zeros((4, spec.nf, py, px), dtype=np.float32)
-    argmax = np.zeros((4, spec.nf, py, px), dtype=np.int64)
-    return kernel, inputs, weights, bias, out, argmax
-
-
-def _fused_run(state) -> None:
-    kernel, inputs, weights, bias, out, argmax = state
-    for i in range(inputs.shape[0]):
-        kernel(inputs[i], weights, bias, out[i], argmax[i])
-
-
-def _fused_description() -> str:
-    """Description carrying the machine-model traffic payoff of fusion."""
-    from repro.stencil.loopir import chain_estimate
-    from repro.stencil.passes import default_pipeline
-
-    spec = _conv_spec("bench-fused")
-    pipeline = default_pipeline("fused_fp", pool_kernel=2, pool_stride=2)
-    fused = pipeline.estimate(spec)
-    chain = chain_estimate(spec, 2, 2)
-    fused_traffic = fused.private_elems + fused.shared_elems
-    chain_traffic = chain.private_elems + chain.shared_elems
-    return (
-        "fused conv+ReLU+pool forward, 4 images "
-        f"({fused_traffic / chain_traffic:.2f}x chain traffic)"
-    )
-
-
 def _sched_spec():
     return _conv_spec("bench-sched", ny=8, nc=4, nf=4)
 
@@ -342,7 +303,7 @@ def _schedule_search_run(spec) -> None:
 
     # A fresh searcher each run: this times the *cold* search (candidate
     # enumeration + roofline pricing + verifier gate), not the cache.
-    ScheduleSearch(seed=0).search_layer(spec, pool_kernel=2)
+    ScheduleSearch(seed=0).search_layer(spec)
 
 
 def _train_flops() -> float:
@@ -394,15 +355,8 @@ def default_suite(backend: str = "thread") -> tuple[Benchmark, ...]:
             run=_stencil_run,
         ),
         Benchmark(
-            name="fused_fp",
-            description=_fused_description(),
-            flops=4.0 * spec_stencil.flops,
-            setup=_fused_setup,
-            run=_fused_run,
-        ),
-        Benchmark(
             name="schedule_search",
-            description="cold loop-IR schedule search, fp+bp+fused families",
+            description="cold loop-IR schedule search, fp+bp families",
             flops=0.0,
             setup=_sched_spec,
             run=_schedule_search_run,

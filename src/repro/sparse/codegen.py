@@ -47,7 +47,7 @@ def _slice_expr(start: int, count: int, stride: int) -> str:
 def _taps(spec: ConvSpec, pipeline: SchedulePipeline) -> list[tuple[int, int]]:
     """Kernel taps in the scheduled enumeration order."""
     nest = pipeline.build_nest(spec)
-    stage = nest.stages[0]
+    stage = nest.stage
     order = [li.dim.name for li in stage.loops if li.dim.name in ("ky", "kx")]
     extents = {"ky": spec.fy, "kx": spec.fx}
     taps = []

@@ -14,7 +14,7 @@ What used to be the only emission is now the *default schedule*: calling
 an emitter without a pipeline applies
 :func:`repro.stencil.passes.default_pipeline` and produces byte-identical
 source to the original generator.  Non-default pipelines (tiled,
-reordered, jammed, fused) emit the corresponding statement stream and
+reordered, jammed) emit the corresponding statement stream and
 carry the pipeline fingerprint in the kernel name, so distinct schedules
 can never collide in the codegen cache -- the cache key *is*
 ``(spec, pipeline)``.
@@ -99,8 +99,7 @@ def _stage_axes(stage: Stage) -> list[_Axis]:
     axes: list[_Axis] = []
     for info in stage.loops:
         dim = info.dim
-        is_tap = dim.name in ("ky", "kx", "wy", "wx")
-        if is_tap or dim.kind == REDUCE_ORDERED:
+        if dim.name in ("ky", "kx") or dim.kind == REDUCE_ORDERED:
             axes.append(_Axis(dim.name, tuple(range(dim.extent)), info.jam))
         elif info.tile is not None:
             ranges = tuple(
@@ -191,8 +190,8 @@ def emit_forward_kernel(
         f"    assert inputs.shape == {spec.input_shape!r}, inputs.shape",
         f"    assert out.shape == {spec.output_shape!r}, out.shape",
     ]
-    tiled = any(li.tile is not None for li in nest.stages[0].loops)
-    for a in _enumerate(_stage_axes(nest.stages[0])):
+    tiled = any(li.tile is not None for li in nest.stage.loops)
+    for a in _enumerate(_stage_axes(nest.stage)):
         ky, kx = a["ky"], a["kx"]
         y0, rows = _spatial(a, "oy", spec.out_ny)
         x0, cols = _spatial(a, "ox", spec.out_nx)
@@ -237,8 +236,8 @@ def emit_backward_data_kernel(
         f"    assert out_error.shape == {spec.output_shape!r}, out_error.shape",
         f"    assert in_error.shape == {spec.input_shape!r}, in_error.shape",
     ]
-    tiled = any(li.tile is not None for li in nest.stages[0].loops)
-    for a in _enumerate(_stage_axes(nest.stages[0])):
+    tiled = any(li.tile is not None for li in nest.stage.loops)
+    for a in _enumerate(_stage_axes(nest.stage)):
         ky, kx = a["ky"], a["kx"]
         y0, rows = _spatial(a, "oy", spec.out_ny)
         x0, cols = _spatial(a, "ox", spec.out_nx)
@@ -284,7 +283,7 @@ def emit_backward_weights_kernel(
         f"    assert out_error.shape == {spec.output_shape!r}, out_error.shape",
         f"    assert dw.shape == {spec.weight_shape!r}, dw.shape",
     ]
-    for a in _enumerate(_stage_axes(nest.stages[0])):
+    for a in _enumerate(_stage_axes(nest.stage)):
         ky, kx = a["ky"], a["kx"]
         ys = _slice_expr(ky, spec.out_ny, spec.sy)
         xs = _slice_expr(kx, spec.out_nx, spec.sx)
@@ -293,103 +292,4 @@ def emit_backward_weights_kernel(
             f"out_error, inputs[:, {ys}, {xs}], axes=([1, 2], [1, 2]))"
         )
     lines.append("    return dw")
-    return _compile(name, "\n".join(lines) + "\n")
-
-
-@functools.lru_cache(maxsize=256)
-def emit_fused_forward_kernel(
-    spec: ConvSpec,
-    pool_kernel: int,
-    pool_stride: int | None = None,
-    pipeline: SchedulePipeline | None = None,
-) -> GeneratedKernel:
-    """Generate the fused conv+ReLU+max-pool kernel (one pass, no
-    materialized activation or pre-pool intermediate).
-
-    Signature: ``kernel(inputs, weights, bias, out, argmax) -> out`` with
-    ``bias [Nf]`` added after the conv taps and before the ReLU (the same
-    operation order as the unfused chain, which is what keeps the fusion
-    bit-exact when the layer carries a trained bias),
-    ``out [Nf, pool_Ny, pool_Nx]`` (pooled activations, zeroed or not --
-    every element is written) and ``argmax [Nf, pool_Ny, pool_Nx]`` int64
-    flat window indices (the only cache the fused backward needs: the
-    ReLU mask at the argmax equals ``out > 0``).
-
-    The emission processes one pool-row block at a time: the conv taps
-    accumulate into a block-scoped scratch ``act`` covering exactly the
-    producer rows the block's pool windows read, ReLU is applied in
-    cache, and the pool reduces via the same strided window view /
-    ``argmax`` / ``take_along_axis`` sequence as the unfused
-    ``MaxPoolLayer`` -- which is what makes the fusion bit-exact against
-    the layer chain.
-    """
-    if spec.pad != 0:
-        raise CodegenError("emit_fused_forward_kernel requires a pre-padded spec")
-    stride = pool_stride or pool_kernel
-    pipeline = pipeline or default_pipeline(
-        "fused_fp", pool_kernel=pool_kernel, pool_stride=stride
-    )
-    if pipeline.family != "fused_fp":
-        raise CodegenError(
-            f"emit_fused_forward_kernel got a {pipeline.family!r} pipeline"
-        )
-    if (pipeline.pool_kernel, pipeline.pool_stride) != (pool_kernel, stride):
-        raise CodegenError(
-            f"pipeline pool geometry ({pipeline.pool_kernel}, "
-            f"{pipeline.pool_stride}) does not match requested "
-            f"({pool_kernel}, {stride})"
-        )
-    nest = pipeline.build_nest(spec)
-    _require_vectorized(nest, "emit_fused_forward_kernel")
-    pool = nest.pool
-    assert pool is not None
-    nf = spec.nf
-    onx = spec.out_nx
-    py = pool.out_extent(spec.out_ny)
-    px = pool.out_extent(spec.out_nx)
-    pk, ps = pool.kernel, pool.stride
-    block = nest.stage("maxpool").loop("py").tile or 1
-    base = (
-        f"fused_fp_{spec.nc}x{spec.ny}x{spec.nx}_{spec.nf}"
-        f"_{spec.fy}x{spec.fx}_s{spec.sy}{spec.sx}_p{pk}x{pk}s{ps}"
-    )
-    name = _kernel_name(base, pipeline)
-    lines = [
-        f"def {name}(inputs, weights, bias, out, argmax):",
-        f'    """Generated fused conv+ReLU+maxpool kernel for {spec.describe()}'
-        f' | pool {pk}x{pk} stride {ps}."""',
-        f"    assert inputs.shape == {spec.input_shape!r}, inputs.shape",
-        f"    assert out.shape == {(nf, py, px)!r}, out.shape",
-        f"    assert argmax.shape == {(nf, py, px)!r}, argmax.shape",
-    ]
-    for p0 in range(0, py, block):
-        p1 = min(p0 + block, py)
-        bpy = p1 - p0
-        rows = (bpy - 1) * ps + pk       # producer rows this block needs
-        r0 = p0 * ps                     # first conv output row
-        lines.append(f"    act = np.zeros(({nf}, {rows}, {onx}), dtype=out.dtype)")
-        for a in _enumerate(_stage_axes(nest.stage("conv"))):
-            ky, kx = a["ky"], a["kx"]
-            ys = _slice_expr(ky + r0 * spec.sy, rows, spec.sy)
-            xs = _slice_expr(kx, onx, spec.sx)
-            lines.append(
-                f"    act += np.tensordot(weights[:, :, {ky}, {kx}], "
-                f"inputs[:, {ys}, {xs}], axes=([1], [0]))"
-            )
-        lines.extend(
-            [
-                "    act += bias[:, None, None]",
-                "    act = np.where(act > 0, act, 0).astype(out.dtype, copy=False)",
-                f"    win = np.lib.stride_tricks.as_strided(act, "
-                f"shape=({nf}, {bpy}, {px}, {pk}, {pk}), "
-                f"strides=(act.strides[0], act.strides[1] * {ps}, "
-                f"act.strides[2] * {ps}, act.strides[1], act.strides[2]))",
-                f"    flat = win.reshape({nf}, {bpy}, {px}, {pk * pk})",
-                "    idx = flat.argmax(axis=3)",
-                f"    out[:, {p0}:{p1}, :] = np.take_along_axis("
-                f"flat, idx[:, :, :, None], axis=3)[:, :, :, 0]",
-                f"    argmax[:, {p0}:{p1}, :] = idx",
-            ]
-        )
-    lines.append("    return out")
     return _compile(name, "\n".join(lines) + "\n")

@@ -6,12 +6,9 @@ stencil kernels for forward propagation (Stencil-Kernel (FP)); for
 interface completeness this engine also provides the transposed-stencil
 backward kernels, which spg-CNN's autotuner may use when they win.
 
-Since the loop-IR refactor the engine is schedule-parameterized: each
-kernel family accepts a :class:`repro.stencil.passes.SchedulePipeline`
-(``None`` means the default pipeline, which reproduces the original
-emission byte for byte).  Pipelines are frozen and picklable, so an
-engine carrying a searched schedule crosses the process-backend spawn
-boundary intact.
+The engine always emits each kernel family's default schedule
+pipeline (:func:`repro.stencil.passes.default_pipeline`), which
+reproduces the original emission byte for byte.
 
 Like GEMM-in-Parallel, the stencil engine parallelizes across training
 inputs: each core runs the generated single-threaded kernel on whole
@@ -35,7 +32,6 @@ from repro.stencil.emit import (
     emit_backward_weights_kernel,
     emit_forward_kernel,
 )
-from repro.stencil.passes import SchedulePipeline
 from repro.stencil.schedule import StencilSchedule, generate_schedule
 
 
@@ -50,9 +46,6 @@ class StencilEngine(ConvEngine):
         num_registers: int = DEFAULT_NUM_REGISTERS,
         vector_width: int = DEFAULT_VECTOR_WIDTH,
         cache_bytes: int = 256 * 1024,
-        pipeline: SchedulePipeline | None = None,
-        bp_pipeline: SchedulePipeline | None = None,
-        dw_pipeline: SchedulePipeline | None = None,
     ):
         super().__init__(spec)
         if num_cores <= 0:
@@ -62,12 +55,9 @@ class StencilEngine(ConvEngine):
             spec.fy, spec.fx, num_registers=num_registers, vector_width=vector_width
         )
         self.schedule: StencilSchedule = generate_schedule(spec, cache_bytes=cache_bytes)
-        self.pipeline = pipeline
-        self.bp_pipeline = bp_pipeline
-        self.dw_pipeline = dw_pipeline
-        self._fp_kernel = emit_forward_kernel(spec, pipeline)
-        self._bp_kernel = emit_backward_data_kernel(spec, bp_pipeline)
-        self._dw_kernel = emit_backward_weights_kernel(spec, dw_pipeline)
+        self._fp_kernel = emit_forward_kernel(spec)
+        self._bp_kernel = emit_backward_data_kernel(spec)
+        self._dw_kernel = emit_backward_weights_kernel(spec)
 
     # -- generated-code accessors (for tests and inspection) ------------
 

@@ -4,8 +4,8 @@ The original generators each baked *one* schedule into their emitter:
 ``emit.py`` always produced the taps-outer, fully-vectorized-plane
 emission and ``schedule.py`` chose one cache tiling.  This module keeps
 the *algorithm* -- what is computed -- as a small loop-level IR, so that
-*schedules* -- in what order, at what tile granularity, with what fusion
--- become composable, individually verified transformation passes
+*schedules* -- in what order and at what tile granularity -- become
+composable, individually verified transformation passes
 (:mod:`repro.stencil.passes`), in the style of Exo/SYS_ATL.
 
 Vocabulary
@@ -15,7 +15,8 @@ Vocabulary
   *kind* that encodes what reordering the axis tolerates:
 
   - ``PARALLEL``: distinct iterations write disjoint output elements;
-    tiling and reordering are always bit-exact.
+    tiling and reordering keep each element's operation order (BLAS
+    may still round a smaller tiled operand differently).
   - ``REDUCE_ORDERED``: iterations accumulate into the same output
     elements in program order (the unrolled kernel taps).  Their
     *relative* order is observable in float arithmetic, so passes must
@@ -28,14 +29,11 @@ Vocabulary
 * :class:`Affine` / :class:`Access` -- affine access maps from loop
   variables to buffer coordinates (``inputs[c, oy*sy + ky, ox*sx + kx]``).
 
-* :class:`Buffer` -- a named tensor with a role and a *scope*: ``GLOBAL``
-  buffers are kernel parameters; ``TILE`` buffers are intermediates the
-  fusion pass demoted to tile-sized scratch that never reaches memory.
+* :class:`Buffer` -- a named kernel parameter tensor and its role.
 
 * :class:`Stage` -- one perfect nest (ordered :class:`LoopInfo` list plus
-  a :class:`Statement`).  A :class:`LoopNest` is an ordered sequence of
-  stages; the conv+ReLU+pool fusion produces a multi-stage nest whose
-  intermediate buffers are tile-scoped.
+  a :class:`Statement`).  A :class:`LoopNest` is one stage over its
+  declared buffers: every emitted kernel is a single-stage program.
 
 * :class:`WorkEstimate` -- the flop / private-traffic / shared-traffic
   account of a scheduled nest.  Every pass reports its delta, and the
@@ -47,7 +45,7 @@ Vocabulary
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.convspec import ELEMENT_BYTES, ConvSpec
 from repro.errors import CodegenError
@@ -62,9 +60,6 @@ REDUCE_ATOMIC = "reduce-atomic"
 MODE_SERIAL = "serial"          # enumerated one iteration at a time
 MODE_UNROLLED = "unrolled"      # fully unrolled into literal statements
 MODE_VECTORIZED = "vectorized"  # absorbed into one vector primitive
-
-GLOBAL = "global"
-TILE = "tile"
 
 
 @dataclass(frozen=True)
@@ -124,12 +119,11 @@ class Access:
 
 @dataclass(frozen=True)
 class Buffer:
-    """A named tensor, its shape, role and scope."""
+    """A named tensor, its shape and role."""
 
     name: str
     shape: tuple[int, ...]
-    role: str  # "input" | "weight" | "output" | "intermediate" | "index"
-    scope: str = GLOBAL
+    role: str  # "input" | "weight" | "output"
 
     @property
     def elems(self) -> int:
@@ -143,8 +137,8 @@ class Buffer:
 class Statement:
     """One compute statement: ``out[...] (+)= op(reads...)``."""
 
-    name: str        # "conv" | "relu" | "maxpool"
-    op: str          # "fma" | "relu" | "maxpool"
+    name: str        # "conv" | "bp_data" | "bp_weights"
+    op: str          # "fma"
     out: Access
     reads: tuple[Access, ...]
     accumulate: bool = False
@@ -187,37 +181,12 @@ class Stage:
 
 
 @dataclass(frozen=True)
-class PoolWindow:
-    """Pool geometry carried by fused nests (kernel and stride)."""
-
-    kernel: int
-    stride: int
-
-    def __post_init__(self) -> None:
-        if self.kernel <= 0 or self.stride <= 0:
-            raise CodegenError("pool kernel and stride must be positive")
-
-    def out_extent(self, extent: int) -> int:
-        if extent < self.kernel:
-            raise CodegenError(
-                f"pool kernel {self.kernel} larger than input extent {extent}"
-            )
-        return (extent - self.kernel) // self.stride + 1
-
-    def rows_needed(self, pool_rows: int) -> int:
-        """Producer rows required to compute ``pool_rows`` output rows."""
-        return (pool_rows - 1) * self.stride + self.kernel
-
-
-@dataclass(frozen=True)
 class LoopNest:
-    """A scheduled program: ordered stages over declared buffers."""
+    """A scheduled program: one stage over its declared buffers."""
 
     spec: ConvSpec
     buffers: tuple[Buffer, ...]
-    stages: tuple[Stage, ...]
-    #: Pool geometry when the nest is a fused conv+ReLU+pool program.
-    pool: PoolWindow | None = None
+    stage: Stage
     #: True once the ``vectorize`` pass ran (innermost dims lowered to
     #: the vector primitive / basic-block IR).
     vectorized: bool = False
@@ -230,21 +199,6 @@ class LoopNest:
             if buf.name == name:
                 return buf
         raise CodegenError(f"nest has no buffer {name!r}")
-
-    def stage(self, name: str) -> Stage:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise CodegenError(f"nest has no stage {name!r}")
-
-    @property
-    def fused(self) -> bool:
-        return len(self.stages) > 1
-
-    def with_stage(self, stage: Stage) -> "LoopNest":
-        stages = tuple(stage if s.name == stage.name else s
-                       for s in self.stages)
-        return replace(self, stages=stages)
 
 
 # -- nest builders (the algorithms, schedule-free) -------------------------
@@ -261,11 +215,11 @@ def _conv_dims(spec: ConvSpec) -> dict[str, Dim]:
     }
 
 
-def _conv_stmt(spec: ConvSpec, out_buffer: str = "out") -> Statement:
+def _conv_stmt(spec: ConvSpec) -> Statement:
     return Statement(
         name="conv",
         op="fma",
-        out=Access(out_buffer, (Affine.var("f"), Affine.var("oy"),
+        out=Access("out", (Affine.var("f"), Affine.var("oy"),
                                 Affine.var("ox"))),
         reads=(
             Access("weights", (Affine.var("f"), Affine.var("c"),
@@ -295,7 +249,7 @@ def conv_fp_nest(spec: ConvSpec) -> LoopNest:
         Buffer("out", spec.output_shape, "output"),
     )
     return LoopNest(spec=spec, buffers=buffers,
-                    stages=(Stage("conv", loops, _conv_stmt(spec)),))
+                    stage=Stage("conv", loops, _conv_stmt(spec)))
 
 
 def conv_bp_data_nest(spec: ConvSpec) -> LoopNest:
@@ -330,7 +284,7 @@ def conv_bp_data_nest(spec: ConvSpec) -> LoopNest:
         Buffer("in_error", spec.input_shape, "output"),
     )
     return LoopNest(spec=spec, buffers=buffers,
-                    stages=(Stage("bp_data", loops, stmt),))
+                    stage=Stage("bp_data", loops, stmt))
 
 
 def conv_bp_weights_nest(spec: ConvSpec) -> LoopNest:
@@ -370,69 +324,7 @@ def conv_bp_weights_nest(spec: ConvSpec) -> LoopNest:
         Buffer("dw", spec.weight_shape, "output"),
     )
     return LoopNest(spec=spec, buffers=buffers,
-                    stages=(Stage("bp_weights", loops, stmt),))
-
-
-def fused_fp_nest(spec: ConvSpec, pool_kernel: int,
-                  pool_stride: int | None = None) -> LoopNest:
-    """Conv + ReLU + max-pool as one multi-stage program.
-
-    Built *unfused*: the activation and its pooled indices are global
-    buffers.  The :class:`~repro.stencil.passes.Fuse` pass demotes the
-    activation to a tile-scoped scratch buffer, which is what removes it
-    from the shared-traffic account.
-    """
-    pool = PoolWindow(pool_kernel, pool_stride or pool_kernel)
-    conv = conv_fp_nest(spec)
-    py = pool.out_extent(spec.out_ny)
-    px = pool.out_extent(spec.out_nx)
-    relu_stmt = Statement(
-        name="relu",
-        op="relu",
-        out=Access("act", (Affine.var("f"), Affine.var("oy"),
-                           Affine.var("ox"))),
-        reads=(Access("act", (Affine.var("f"), Affine.var("oy"),
-                              Affine.var("ox"))),),
-    )
-    pool_stmt = Statement(
-        name="maxpool",
-        op="maxpool",
-        out=Access("out", (Affine.var("f"), Affine.var("py"),
-                           Affine.var("px"))),
-        reads=(Access("act", (
-            Affine.var("f"),
-            Affine(terms=(("py", pool.stride), ("wy", 1))),
-            Affine(terms=(("px", pool.stride), ("wx", 1))),
-        )),),
-    )
-    relu_loops = (
-        LoopInfo(Dim("f", spec.nf, PARALLEL)),
-        LoopInfo(Dim("oy", spec.out_ny, PARALLEL)),
-        LoopInfo(Dim("ox", spec.out_nx, PARALLEL)),
-    )
-    pool_loops = (
-        LoopInfo(Dim("f", spec.nf, PARALLEL)),
-        LoopInfo(Dim("py", py, PARALLEL)),
-        LoopInfo(Dim("px", px, PARALLEL)),
-        LoopInfo(Dim("wy", pool.kernel, REDUCE_ORDERED)),
-        LoopInfo(Dim("wx", pool.kernel, REDUCE_ORDERED)),
-    )
-    conv_stage = Stage("conv", conv.stages[0].loops, _conv_stmt(spec, "act"))
-    buffers = (
-        Buffer("inputs", spec.input_shape, "input"),
-        Buffer("weights", spec.weight_shape, "weight"),
-        Buffer("act", spec.output_shape, "intermediate"),
-        Buffer("out", (spec.nf, py, px), "output"),
-        Buffer("argmax", (spec.nf, py, px), "index"),
-    )
-    return LoopNest(
-        spec=spec,
-        buffers=buffers,
-        stages=(conv_stage,
-                Stage("relu", relu_loops, relu_stmt),
-                Stage("maxpool", pool_loops, pool_stmt)),
-        pool=pool,
-    )
+                    stage=Stage("bp_weights", loops, stmt))
 
 
 #: Builders by kernel family (the vocabulary the emitters understand).
@@ -506,17 +398,10 @@ class WorkDelta:
 
 
 def _tile_extents(nest: LoopNest) -> tuple[int, int]:
-    """Effective (tile_y, tile_x) of the first stage's output plane."""
-    stage = nest.stages[0]
+    """Effective (tile_y, tile_x) of the nest's output plane."""
+    stage = nest.stage
     spec = nest.spec
     tile_y, tile_x = spec.out_ny, spec.out_nx
-    if nest.fused and nest.pool is not None:
-        pool_stage = nest.stage("maxpool")
-        if pool_stage.has_loop("py"):
-            info = pool_stage.loop("py")
-            if info.tile is not None:
-                tile_y = min(nest.pool.rows_needed(info.tile), spec.out_ny)
-        return tile_y, tile_x
     for name, full in (("oy", spec.out_ny), ("ox", spec.out_nx)):
         if stage.has_loop(name):
             info = stage.loop(name)
@@ -545,86 +430,25 @@ def estimate_nest(nest: LoopNest,
 
     The account follows the original ``StencilSchedule`` model (inputs
     copied in and streamed, weights read once, outputs written once),
-    extended with two schedule-sensitive effects:
-
-    * a tile whose working set exceeds the private cache loses the halo
-      reuse between kernel taps -- inputs are re-streamed per tap and the
-      excess shows up as shared traffic;
-    * fusion removes tile-scoped intermediates from the shared-traffic
-      account entirely (they live and die in cache) at the price of the
-      overlap rows recomputed between adjacent pool tiles.
+    extended with one schedule-sensitive effect: a tile whose working set
+    exceeds the private cache loses the halo reuse between kernel taps --
+    inputs are re-streamed per tap and the excess shows up as shared
+    traffic.
     """
     spec = nest.spec
     taps = spec.fy * spec.fx
-    fits = tile_working_set_bytes(nest) <= cache_bytes
-    conv_flops = spec.flops
-
-    if not nest.fused:
-        stage = nest.stages[0]
-        out_buf = nest.buffer(stage.stmt.out.buffer)
-        in_bufs = [b for b in nest.buffers if b.role == "input"]
-        weight_elems = sum(b.elems for b in nest.buffers if b.role == "weight")
-        in_elems = sum(b.elems for b in in_bufs)
-        out_elems = out_buf.elems
-        if fits:
-            private = 2 * in_elems + weight_elems + 2 * out_elems
-            shared = in_elems + out_elems
-        else:
-            # Halo reuse lost: every tap re-streams its input slice.
-            private = in_elems + taps * in_elems + weight_elems + 2 * out_elems
-            shared = in_elems + out_elems + (taps - 1) * out_elems
-        return WorkEstimate(flops=conv_flops, private_elems=private,
-                            shared_elems=shared)
-
-    # Fused conv+ReLU+pool.
-    pool = nest.pool
-    assert pool is not None
-    act = nest.buffer("act")
-    out = nest.buffer("out")
-    in_elems = nest.buffer("inputs").elems
-    weight_elems = nest.buffer("weights").elems
-    py = out.shape[1]
-    tile_y, _ = _tile_extents(nest)
-    # Overlapping pool windows recompute boundary rows between tiles.
-    overlap_rows = 0
-    pool_stage = nest.stage("maxpool")
-    tile_py = pool_stage.loop("py").tile if pool_stage.has_loop("py") else None
-    if tile_py:
-        num_tiles = -(-py // tile_py)
-        overlap = max(pool.kernel - pool.stride, 0)
-        overlap_rows = max(num_tiles - 1, 0) * overlap
-    act_rows = act.shape[1] + overlap_rows
-    act_elems = act.shape[0] * act_rows * act.shape[2]
-    recompute_flops = (conv_flops // max(act.shape[1], 1)) * overlap_rows
-    # ReLU compare + pool max comparisons count as flops.
-    relu_flops = act_elems
-    pool_flops = out.elems * pool.kernel * pool.kernel
-    if act.scope == TILE:
-        # Fused: the activation never reaches shared memory.  It is
-        # written once and re-read once (window flattening) in cache.
-        private = 2 * in_elems + weight_elems + 4 * act_elems + 2 * out.elems
-        shared = in_elems + 2 * out.elems  # pooled values + indices
+    out_elems = nest.buffer(nest.stage.stmt.out.buffer).elems
+    weight_elems = sum(b.elems for b in nest.buffers if b.role == "weight")
+    in_elems = sum(b.elems for b in nest.buffers if b.role == "input")
+    if tile_working_set_bytes(nest) <= cache_bytes:
+        private = 2 * in_elems + weight_elems + 2 * out_elems
+        shared = in_elems + out_elems
     else:
-        # Unfused chain: conv writes act, relu reads + writes act, pool
-        # reads act -- all full-size and all through shared memory.
-        private = 2 * in_elems + weight_elems + 6 * act_elems + 2 * out.elems
-        shared = in_elems + 4 * act_elems + 2 * out.elems
-    if not fits:
-        private += (taps - 1) * in_elems
-        shared += (taps - 1) * act_elems
-    return WorkEstimate(
-        flops=conv_flops + recompute_flops + relu_flops + pool_flops,
-        private_elems=private,
-        shared_elems=shared,
-    )
-
-
-def chain_estimate(spec: ConvSpec, pool_kernel: int,
-                   pool_stride: int | None = None,
-                   cache_bytes: int = 256 * 1024) -> WorkEstimate:
-    """Estimate of the *unfused* conv -> ReLU -> pool layer chain."""
-    nest = fused_fp_nest(spec, pool_kernel, pool_stride)
-    return estimate_nest(nest, cache_bytes=cache_bytes)
+        # Halo reuse lost: every tap re-streams its input slice.
+        private = in_elems + taps * in_elems + weight_elems + 2 * out_elems
+        shared = in_elems + out_elems + (taps - 1) * out_elems
+    return WorkEstimate(flops=spec.flops, private_elems=private,
+                        shared_elems=shared)
 
 
 # -- fingerprinting --------------------------------------------------------

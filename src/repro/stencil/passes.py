@@ -2,15 +2,18 @@
 
 Each pass is a frozen, hashable rewrite of a :class:`~repro.stencil.loopir.
 LoopNest`.  Legality is checked structurally at apply time against the
-dimension kinds declared by the nest builders, which encode the bit-exact
-transformation envelope established empirically for the numpy vector
-primitives:
+dimension kinds declared by the nest builders, which encode the
+transformation envelope established empirically (on small specs) for the
+numpy vector primitives.  The envelope is structural, not a bit-exactness
+proof: on full-size operands BLAS may round a legal tiling differently
+from the default, which is why the schedule search also probes its
+winners bitwise (:class:`repro.nn.schedule.ScheduleSearch`).
 
-* ``tile`` may split only PARALLEL spatial dims (``oy``/``ox``, or the
-  pool-row dim ``py`` of fused nests).  Splitting a REDUCE_ATOMIC dim
-  (the channel contraction inside ``np.tensordot``) changes the
-  accumulation order inside the BLAS kernel and is rejected.
-* ``reorder`` may permute a stage's loops as long as the *relative*
+* ``tile`` may split only PARALLEL spatial dims (``oy``/``ox``).
+  Splitting a REDUCE_ATOMIC dim (the channel contraction inside
+  ``np.tensordot``) changes the accumulation order inside the BLAS
+  kernel and is rejected.
+* ``reorder`` may permute the nest's loops as long as the *relative*
   order of REDUCE_ORDERED dims (the accumulating kernel taps) is
   preserved.  In the dW nest the taps are PARALLEL -- each ``dw``
   element is written by exactly one tap -- so there they may reorder.
@@ -21,9 +24,6 @@ primitives:
   contraction onto the vector primitive, attaching the register-tiled
   basic block (:mod:`repro.stencil.basic_block`) that the machine model
   prices and :func:`repro.check.kernel_ir.verify_basic_block` verifies.
-* ``fuse`` demotes the conv+ReLU+pool intermediate activation to a
-  tile-scoped scratch buffer and tiles the pool rows, eliminating the
-  materialized activation / pre-pool tensors from shared traffic.
 
 A :class:`SchedulePipeline` is an ordered pass list with a stable
 fingerprint; the emitters key their codegen caches on it, and every pass
@@ -47,10 +47,8 @@ from repro.stencil.basic_block import (
 from repro.stencil.loopir import (
     PARALLEL,
     REDUCE_ORDERED,
-    TILE,
     LoopInfo,
     LoopNest,
-    Stage,
     WorkDelta,
     WorkEstimate,
     estimate_nest,
@@ -63,7 +61,12 @@ class IllegalSchedule(CodegenError):
 
 
 #: Dims whose tiling is known bit-exact for the numpy vector primitives.
-TILABLE_DIMS = ("oy", "ox", "py")
+TILABLE_DIMS = ("oy", "ox")
+
+
+def _with_loops(nest: LoopNest, loops: tuple[LoopInfo, ...]) -> LoopNest:
+    """``nest`` with its stage's loops replaced by ``loops``."""
+    return replace(nest, stage=replace(nest.stage, loops=loops))
 
 
 @dataclass(frozen=True)
@@ -86,65 +89,45 @@ class Tile:
                 f"tile({self.dim}): only {TILABLE_DIMS} tile bit-exactly; "
                 f"reduction dims change the accumulation order"
             )
-        if nest.fused and self.dim != "py":
+        stage = nest.stage
+        if not stage.has_loop(self.dim):
+            raise IllegalSchedule(f"tile({self.dim}): the nest has no such dim")
+        info = stage.loop(self.dim)
+        if info.dim.kind != PARALLEL:
             raise IllegalSchedule(
-                "fused nests tile only the pool-row dim 'py' "
-                "(conv rows follow from the pool window)"
+                f"tile({self.dim}): dim is {info.dim.kind} in stage "
+                f"{stage.name!r}; only parallel dims tile bit-exactly"
             )
-        touched = False
-        for stage in nest.stages:
-            if not stage.has_loop(self.dim):
-                continue
-            info = stage.loop(self.dim)
-            if info.dim.kind != PARALLEL:
-                raise IllegalSchedule(
-                    f"tile({self.dim}): dim is {info.dim.kind} in stage "
-                    f"{stage.name!r}; only parallel dims tile bit-exactly"
-                )
-            if info.tile is not None:
-                raise IllegalSchedule(f"tile({self.dim}): already tiled")
-            if self.dim in ("oy", "ox"):
-                other = "ox" if self.dim == "oy" else "oy"
-                if (stage.has_loop(other)
-                        and stage.loop(other).tile is not None):
-                    raise IllegalSchedule(
-                        f"tile({self.dim}): {other} is already tiled; 2-D "
-                        "spatial tiling shrinks the vector primitive's "
-                        "operands enough to flip its internal FMA path "
-                        "(observed 1-ulp drift vs the unscheduled "
-                        "emission), so only one spatial dim tiles "
-                        "bit-exactly"
-                    )
-            factor = min(self.factor, info.dim.extent)
-            loops = tuple(
-                replace(li, tile=factor) if li.dim.name == self.dim else li
-                for li in stage.loops
+        if info.tile is not None:
+            raise IllegalSchedule(f"tile({self.dim}): already tiled")
+        other = "ox" if self.dim == "oy" else "oy"
+        if stage.has_loop(other) and stage.loop(other).tile is not None:
+            raise IllegalSchedule(
+                f"tile({self.dim}): {other} is already tiled; 2-D "
+                "spatial tiling shrinks the vector primitive's "
+                "operands enough to flip its internal FMA path "
+                "(observed 1-ulp drift vs the unscheduled "
+                "emission), so only one spatial dim tiles "
+                "bit-exactly"
             )
-            nest = nest.with_stage(Stage(stage.name, loops, stage.stmt))
-            touched = True
-        if not touched:
-            raise IllegalSchedule(f"tile({self.dim}): no stage has that dim")
-        return nest
+        factor = min(self.factor, info.dim.extent)
+        return _with_loops(nest, tuple(
+            replace(li, tile=factor) if li.dim.name == self.dim else li
+            for li in stage.loops
+        ))
 
 
 @dataclass(frozen=True)
 class Reorder:
-    """Permute a stage's loop order (tap-order preserving)."""
+    """Permute the nest's loop order (tap-order preserving)."""
 
     order: tuple[str, ...]
-    stage: str = ""
 
     def describe(self) -> str:
-        target = self.stage or "*"
-        return f"reorder({target}:{','.join(self.order)})"
+        return f"reorder({','.join(self.order)})"
 
     def apply(self, nest: LoopNest) -> LoopNest:
-        if nest.fused:
-            raise IllegalSchedule(
-                "reorder is not supported on fused nests; the pool window "
-                "fixes the stage interleaving"
-            )
-        stage = nest.stage(self.stage) if self.stage else nest.stages[0]
+        stage = nest.stage
         names = tuple(li.dim.name for li in stage.loops)
         if sorted(self.order) != sorted(names):
             raise IllegalSchedule(
@@ -160,8 +143,7 @@ class Reorder:
                 f"{ordered_before} -> {ordered_after}; their relative "
                 f"order is observable in float arithmetic"
             )
-        loops = tuple(stage.loop(n) for n in self.order)
-        return nest.with_stage(Stage(stage.name, loops, stage.stmt))
+        return _with_loops(nest, tuple(stage.loop(n) for n in self.order))
 
 
 @dataclass(frozen=True)
@@ -181,35 +163,26 @@ class UnrollAndJam:
         return f"unroll_and_jam({self.dim},{self.factor})"
 
     def apply(self, nest: LoopNest) -> LoopNest:
-        if nest.fused:
-            raise IllegalSchedule("unroll_and_jam is not supported on "
-                                  "fused nests")
-        touched = False
-        for stage in nest.stages:
-            if not stage.has_loop(self.dim):
-                continue
-            info = stage.loop(self.dim)
-            if info.dim.kind != PARALLEL:
-                raise IllegalSchedule(
-                    f"unroll_and_jam({self.dim}): dim is {info.dim.kind}; "
-                    f"jamming a reduction reorders its accumulation"
-                )
-            if info.tile is None and info.dim.name in ("oy", "ox"):
-                raise IllegalSchedule(
-                    f"unroll_and_jam({self.dim}): tile the dim first; "
-                    f"untiled spatial dims are absorbed by vectorize"
-                )
-            loops = tuple(
-                replace(li, jam=self.factor) if li.dim.name == self.dim else li
-                for li in stage.loops
-            )
-            nest = nest.with_stage(Stage(stage.name, loops, stage.stmt))
-            touched = True
-        if not touched:
+        stage = nest.stage
+        if not stage.has_loop(self.dim):
             raise IllegalSchedule(
-                f"unroll_and_jam({self.dim}): no stage has that dim"
+                f"unroll_and_jam({self.dim}): the nest has no such dim"
             )
-        return nest
+        info = stage.loop(self.dim)
+        if info.dim.kind != PARALLEL:
+            raise IllegalSchedule(
+                f"unroll_and_jam({self.dim}): dim is {info.dim.kind}; "
+                f"jamming a reduction reorders its accumulation"
+            )
+        if info.tile is None and info.dim.name in ("oy", "ox"):
+            raise IllegalSchedule(
+                f"unroll_and_jam({self.dim}): tile the dim first; "
+                f"untiled spatial dims are absorbed by vectorize"
+            )
+        return _with_loops(nest, tuple(
+            replace(li, jam=self.factor) if li.dim.name == self.dim else li
+            for li in stage.loops
+        ))
 
 
 @dataclass(frozen=True)
@@ -238,55 +211,10 @@ class Vectorize:
         )
 
 
-@dataclass(frozen=True)
-class Fuse:
-    """Fuse conv+ReLU+pool: demote the activation to tile scope.
-
-    Legality rule: every consumer of the intermediate activation must be
-    expressible within one pool-row block -- true exactly when the only
-    consumers are the elementwise ReLU and a pool whose windows fall
-    inside the block's ``(block_rows - 1) * stride + kernel`` producer
-    rows.  The builders guarantee that shape, so the check here is that
-    the nest *is* a conv/relu/maxpool program and that no conflicting
-    spatial tiling was applied to the producer.
-    """
-
-    block_rows: int = 1
-
-    def __post_init__(self) -> None:
-        if self.block_rows <= 0:
-            raise IllegalSchedule("fuse: block_rows must be positive")
-
-    def describe(self) -> str:
-        return f"fuse({self.block_rows})"
-
-    def apply(self, nest: LoopNest) -> LoopNest:
-        if nest.pool is None or not nest.fused:
-            raise IllegalSchedule(
-                "fuse requires a conv+relu+maxpool nest (fused_fp_nest)"
-            )
-        names = tuple(s.name for s in nest.stages)
-        if names != ("conv", "relu", "maxpool"):
-            raise IllegalSchedule(f"fuse: unexpected stage chain {names}")
-        conv = nest.stage("conv")
-        for li in conv.loops:
-            if li.tile is not None:
-                raise IllegalSchedule(
-                    "fuse: conv stage must be untiled; the pool-row block "
-                    "determines the producer tile"
-                )
-        buffers = tuple(
-            replace(buf, scope=TILE) if buf.name == "act" else buf
-            for buf in nest.buffers
-        )
-        nest = replace(nest, buffers=buffers)
-        return Tile("py", self.block_rows).apply(nest)
-
-
-SchedulePass = Tile | Reorder | UnrollAndJam | Vectorize | Fuse
+SchedulePass = Tile | Reorder | UnrollAndJam | Vectorize
 
 #: Kernel families a pipeline can target.
-FAMILIES = ("fp", "bp_data", "bp_weights", "fused_fp",
+FAMILIES = ("fp", "bp_data", "bp_weights",
             "sparse_bp_data", "sparse_bp_weights")
 
 
@@ -296,23 +224,12 @@ class SchedulePipeline:
 
     family: str
     passes: tuple[SchedulePass, ...]
-    #: Pool geometry, required for (and only for) the fused family.
-    pool_kernel: int = 0
-    pool_stride: int = 0
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise CodegenError(f"unknown pipeline family {self.family!r}")
-        if self.family == "fused_fp":
-            if self.pool_kernel <= 0:
-                raise CodegenError("fused_fp pipeline needs pool_kernel")
-            if not any(isinstance(p, Fuse) for p in self.passes):
-                raise CodegenError("fused_fp pipeline must contain fuse")
-        elif any(isinstance(p, Fuse) for p in self.passes):
-            raise CodegenError(f"fuse pass is only legal in the fused_fp "
-                               f"family, not {self.family!r}")
         if self.family.startswith("sparse"):
-            if any(isinstance(p, (Tile, UnrollAndJam, Vectorize, Fuse))
+            if any(isinstance(p, (Tile, UnrollAndJam, Vectorize))
                    for p in self.passes):
                 raise CodegenError(
                     "sparse pipelines support only tap reorder; the CT-CSR "
@@ -331,10 +248,7 @@ class SchedulePipeline:
 
     def describe(self) -> str:
         inner = "|".join(p.describe() for p in self.passes)
-        prefix = self.family
-        if self.family == "fused_fp":
-            prefix = f"{prefix}[{self.pool_kernel},{self.pool_stride}]"
-        return f"{prefix}:{inner}"
+        return f"{self.family}:{inner}"
 
     def fingerprint(self) -> str:
         """Stable short hash of the full pass sequence and family."""
@@ -343,20 +257,12 @@ class SchedulePipeline:
     @property
     def is_default(self) -> bool:
         """True when this pipeline reproduces the original emission."""
-        return self == default_pipeline(self.family,
-                                        pool_kernel=self.pool_kernel,
-                                        pool_stride=self.pool_stride)
+        return self == default_pipeline(self.family)
 
     # -- application ----------------------------------------------------
 
     def base_nest(self, spec: ConvSpec) -> LoopNest:
-        if self.family == "fused_fp":
-            return loopir.fused_fp_nest(spec, self.pool_kernel,
-                                        self.pool_stride or None)
-        if self.family.startswith("sparse"):
-            builder = loopir.NEST_BUILDERS[self.family[len("sparse_"):]]
-            return builder(spec)
-        return loopir.NEST_BUILDERS[self.family](spec)
+        return loopir.NEST_BUILDERS[self.family.removeprefix("sparse_")](spec)
 
     def build_nest(self, spec: ConvSpec) -> LoopNest:
         """Build the family's algorithm nest and apply every pass."""
@@ -407,19 +313,10 @@ class PassReport:
 # -- default pipelines (the original emitters, as schedules) ---------------
 
 
-def default_pipeline(family: str, pool_kernel: int = 0,
-                     pool_stride: int = 0) -> SchedulePipeline:
+def default_pipeline(family: str) -> SchedulePipeline:
     """The pass pipeline reproducing the pre-loop-IR emission byte for
     byte: taps enumerated in (ky, kx) order, full output plane vectorized,
-    no tiling.  The fused family's default processes one pool row block at
-    a time, which is the smallest legal fusion granularity."""
-    if family == "fused_fp":
-        return SchedulePipeline(
-            family=family,
-            passes=(Fuse(block_rows=1), Vectorize()),
-            pool_kernel=pool_kernel,
-            pool_stride=pool_stride,
-        )
+    no tiling."""
     if family.startswith("sparse"):
         return SchedulePipeline(family=family, passes=())
     return SchedulePipeline(family=family, passes=(Vectorize(),))

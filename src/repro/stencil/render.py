@@ -10,15 +10,15 @@ Two renderers live here:
   that consume it, exactly as the Fig. 7 listing annotates "load input
   vector 1 and compute 2 contributions".
 * :func:`render_nest` -- a schedule-annotated loop-nest listing for the
-  loop IR (:mod:`repro.stencil.loopir`), showing each stage's loop
-  order, dim kinds, tile/jam factors and buffer scopes.  This is what
+  loop IR (:mod:`repro.stencil.loopir`), showing the nest's loop
+  order, dim kinds and tile/jam factors.  This is what
   ``repro explain`` style tooling and the schedule-search reports print.
 """
 
 from __future__ import annotations
 
 from repro.stencil.ir import BasicBlock, VBroadcast, VFma, VLoad, VStore
-from repro.stencil.loopir import TILE, LoopNest
+from repro.stencil.loopir import LoopNest
 
 
 def render_intrinsics(block: BasicBlock, input_row_stride: str = "NX") -> str:
@@ -84,42 +84,39 @@ def render_intrinsics(block: BasicBlock, input_row_stride: str = "NX") -> str:
 def render_nest(nest: LoopNest) -> str:
     """Schedule-annotated textual listing of a loop nest.
 
-    Buffers print with their scope (tile-scoped intermediates are the
-    fusion payoff); each stage prints its loops outer-to-inner with the
-    dim kind and any tile/jam annotations, then the statement with its
-    access maps.
+    Buffers print with their role; the stage prints its loops
+    outer-to-inner with the dim kind and any tile/jam annotations, then
+    the statement with its access maps.
     """
     lines: list[str] = [f"nest {nest.spec.describe()}"]
     for buf in nest.buffers:
-        scope = " [tile-scoped]" if buf.scope == TILE else ""
-        lines.append(f"buffer {buf.name}{list(buf.shape)} "
-                     f"({buf.role}){scope}")
-    for stage in nest.stages:
-        lines.append(f"stage {stage.name}:")
-        indent = "  "
-        for info in stage.loops:
-            notes = [info.dim.kind]
-            if info.tile is not None:
-                notes.append(f"tile={info.tile}")
-            if info.jam > 1:
-                notes.append(f"jam={info.jam}")
-            if info.mode != "serial":
-                notes.append(info.mode)
-            lines.append(f"{indent}for {info.dim.name} in "
-                         f"[0, {info.dim.extent})  # {', '.join(notes)}")
-            indent += "  "
-        stmt = stage.stmt
-        op = "+=" if stmt.accumulate else "="
-        reads = ", ".join(
-            f"{acc.buffer}[{', '.join(ix.describe() for ix in acc.index)}]"
-            for acc in stmt.reads
-        )
-        out = stmt.out
-        lines.append(
-            f"{indent}{out.buffer}"
-            f"[{', '.join(ix.describe() for ix in out.index)}] "
-            f"{op} {stmt.op}({reads})"
-        )
+        lines.append(f"buffer {buf.name}{list(buf.shape)} ({buf.role})")
+    stage = nest.stage
+    lines.append(f"stage {stage.name}:")
+    indent = "  "
+    for info in stage.loops:
+        notes = [info.dim.kind]
+        if info.tile is not None:
+            notes.append(f"tile={info.tile}")
+        if info.jam > 1:
+            notes.append(f"jam={info.jam}")
+        if info.mode != "serial":
+            notes.append(info.mode)
+        lines.append(f"{indent}for {info.dim.name} in "
+                     f"[0, {info.dim.extent})  # {', '.join(notes)}")
+        indent += "  "
+    stmt = stage.stmt
+    op = "+=" if stmt.accumulate else "="
+    reads = ", ".join(
+        f"{acc.buffer}[{', '.join(ix.describe() for ix in acc.index)}]"
+        for acc in stmt.reads
+    )
+    out = stmt.out
+    lines.append(
+        f"{indent}{out.buffer}"
+        f"[{', '.join(ix.describe() for ix in out.index)}] "
+        f"{op} {stmt.op}({reads})"
+    )
     if nest.vectorized:
         lines.append(f"vectorized: {nest.num_registers} registers x "
                      f"{nest.vector_width} lanes")

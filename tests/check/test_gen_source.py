@@ -95,6 +95,24 @@ class TestDoctoredSources:
         assert any("leaked_global" in f.message and "non-whitelisted"
                    in f.message for f in findings), _messages(findings)
 
+    @pytest.mark.parametrize("family", sorted(_contracts(TINY)))
+    def test_assigned_scratch_local_is_caught(self, family):
+        # Emitters write only into their parameters; a kernel that binds
+        # and reads a local is outside the contract, whatever the name.
+        from repro.check.gen_source import _EMITTERS
+
+        module, attr = _EMITTERS[family]
+        source = getattr(module, attr)(TINY).source
+        ret = next(ln for ln in source.splitlines()
+                   if ln.startswith("    return "))
+        doctored = source.replace(
+            ret, f"    scratch = np.zeros(1)\n"
+            f"    np.add(scratch, 1, out=scratch)\n{ret}")
+        findings = verify_kernel_source(doctored, _contracts(TINY)[family],
+                                         family)
+        assert any("'scratch'" in f.message and "non-whitelisted"
+                   in f.message for f in findings), _messages(findings)
+
     def test_non_literal_slice_bound_is_caught(self):
         source = _fp_source().replace("inputs[:, 2:8, 2:8]",
                                       "inputs[:, 2:n, 2:8]")
@@ -127,48 +145,6 @@ class TestDoctoredSources:
                    for f in findings), _messages(findings)
 
 
-class TestFusedContract:
-    """The extended per-spec contract for fused conv+ReLU+pool kernels."""
-
-    def _source(self) -> str:
-        from repro.stencil.emit import emit_fused_forward_kernel
-
-        return emit_fused_forward_kernel(TINY, 2).source
-
-    def _contract(self):
-        from repro.check.gen_source import fused_contract
-
-        return fused_contract(TINY, 2)
-
-    def test_fused_emission_verifies_clean(self):
-        assert verify_kernel_source(self._source(), self._contract(),
-                                    "fused") == []
-
-    def test_dropped_pool_row_block_is_caught(self):
-        source = self._source().replace(
-            "    out[:, 1:2, :] = np.take_along_axis(flat, "
-            "idx[:, :, :, None], axis=3)[:, :, :, 0]\n", "")
-        findings = verify_kernel_source(source, self._contract(), "fused")
-        assert any("blocks cover" in f.message for f in findings), \
-            _messages(findings)
-
-    def test_overlapping_pool_row_blocks_are_caught(self):
-        source = self._source().replace("out[:, 1:2, :]", "out[:, 0:1, :]")
-        findings = verify_kernel_source(source, self._contract(), "fused")
-        assert any("blocks overlap" in f.message
-                   or "blocks cover" in f.message for f in findings), \
-            _messages(findings)
-
-    def test_unbalanced_repeated_tap_is_caught(self):
-        # The fused emission repeats every tap once per pool-row block;
-        # doctoring one occurrence breaks the equal-multiplicity rule.
-        source = self._source().replace(
-            "weights[:, :, 2, 2], inputs[:, 6:8, 2:8]",
-            "weights[:, :, 2, 1], inputs[:, 6:8, 2:8]")
-        findings = verify_kernel_source(source, self._contract(), "fused")
-        assert findings, "doctored tap multiplicity must not verify clean"
-
-
 class TestScheduledEmissionContracts:
     """Non-default pipelines verify under the relaxed (scheduled) contract."""
 
@@ -192,4 +168,19 @@ class TestScheduledEmissionContracts:
         contract = contract_for(TINY, pipeline)
         findings = verify_kernel_source(source, contract, "fp-tiled")
         assert any("overlap" in f.message or "cover" in f.message
+                   for f in findings), _messages(findings)
+
+    def test_unbalanced_repeated_tap_is_caught(self):
+        # The tiled emission repeats every tap once per tile; doctoring
+        # one occurrence breaks the equal-multiplicity rule.
+        from repro.check.gen_source import contract_for
+        from repro.stencil.passes import tiled_pipeline
+
+        pipeline = tiled_pipeline("fp", tile_y=3)
+        source = emit_forward_kernel(TINY, pipeline).source.replace(
+            "weights[:, :, 2, 2], inputs[:, 5:8, 2:8]",
+            "weights[:, :, 2, 1], inputs[:, 5:8, 2:8]")
+        contract = contract_for(TINY, pipeline)
+        findings = verify_kernel_source(source, contract, "fp-tiled")
+        assert any("unequal multiplicity" in f.message
                    for f in findings), _messages(findings)

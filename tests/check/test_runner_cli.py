@@ -32,9 +32,8 @@ class TestRunAll:
         report = run_all()
         assert report.ok, [f.message for f in report.errors]
         assert report.meta["specs"] > 0
-        # Five per-family kernels per spec plus one fused emission per
-        # spec whose output plane admits a 2x2 pool.
-        assert report.meta["kernels"] >= 5 * report.meta["specs"]
+        # One emission per kernel family (five) per spec.
+        assert report.meta["kernels"] == 5 * report.meta["specs"]
         assert report.meta["networks"] == 4
         assert report.meta["files_linted"] > 50
 
@@ -52,8 +51,7 @@ class TestRunAll:
         report = run_all(analyzers=("kernel-ir", "gen-source"), specs=[TINY])
         assert report.ok
         assert report.meta["specs"] == 1
-        # TINY's 6x6 output admits a 2x2 pool: 5 families + 1 fused.
-        assert report.meta["kernels"] == 6
+        assert report.meta["kernels"] == 5
 
     def test_default_specs_are_deduplicated_and_engine_facing(self):
         specs = default_specs(default_networks())
@@ -74,7 +72,7 @@ class TestRunAll:
         assert ANALYZER_ALIASES == {"ir": "kernel-ir", "source": "gen-source"}
         report = run_all(analyzers=("ir", "source"), specs=[TINY])
         assert report.ok
-        assert report.meta["kernels"] == 6
+        assert report.meta["kernels"] == 5
         assert "files_linted" not in report.meta
 
 

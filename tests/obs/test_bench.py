@@ -29,18 +29,11 @@ def _result(name: str, seconds: float, threshold: float = 0.5) -> BenchResult:
 class TestSuite:
     def test_suite_covers_every_hot_path(self):
         assert suite_names() == (
-            "gemm_blocked", "unfold", "stencil_fp", "fused_fp",
-            "schedule_search", "ctcsr_build", "sparse_bp", "pool_map",
+            "gemm_blocked", "unfold", "stencil_fp", "schedule_search",
+            "ctcsr_build", "sparse_bp", "pool_map",
             "par_stencil_fp", "par_sparse_bp",
             "train_epoch",
         )
-
-    def test_fused_description_reports_traffic_win(self):
-        from repro.obs.bench import _fused_description
-
-        desc = _fused_description()
-        ratio = float(desc.split("(")[1].split("x")[0])
-        assert 0.0 < ratio < 1.0  # fused moves strictly less traffic
 
     def test_run_single_benchmark_from_suite(self):
         (result,) = run_suite(("gemm_blocked",), repeats=1)

@@ -10,15 +10,14 @@ from repro.stencil.loopir import (
     REDUCE_ATOMIC,
     REDUCE_ORDERED,
     Dim,
-    PoolWindow,
-    chain_estimate,
     conv_bp_data_nest,
     conv_bp_weights_nest,
     conv_fp_nest,
     estimate_nest,
-    fused_fp_nest,
     stable_fingerprint,
+    tile_working_set_bytes,
 )
+from repro.stencil.passes import tiled_pipeline
 
 SPEC = ConvSpec(nc=3, ny=14, nx=14, nf=4, fy=3, fx=3)
 
@@ -32,7 +31,7 @@ class TestVocabulary:
 
     def test_fp_nest_dim_kinds_encode_float_semantics(self):
         """The kinds are the legality oracle every pass consults."""
-        stage = conv_fp_nest(SPEC).stages[0]
+        stage = conv_fp_nest(SPEC).stage
         kinds = {li.dim.name: li.dim.kind for li in stage.loops}
         # Output-plane dims: freely tileable/reorderable.
         assert kinds["oy"] == kinds["ox"] == kinds["f"] == PARALLEL
@@ -44,41 +43,17 @@ class TestVocabulary:
     def test_bp_weights_spatial_dims_are_atomic(self):
         """dw accumulates over the whole output plane inside each tap's
         tensordot, so oy/ox cannot be tiled for this family."""
-        stage = conv_bp_weights_nest(SPEC).stages[0]
+        stage = conv_bp_weights_nest(SPEC).stage
         kinds = {li.dim.name: li.dim.kind for li in stage.loops}
         assert kinds["oy"] == kinds["ox"] == REDUCE_ATOMIC
 
     def test_nests_carry_their_accesses(self):
         for builder in (conv_fp_nest, conv_bp_data_nest, conv_bp_weights_nest):
-            stage = builder(SPEC).stages[0]
+            stage = builder(SPEC).stage
             assert stage.stmt.out.index, builder.__name__
             assert stage.stmt.reads, builder.__name__
             read_bufs = {a.buffer for a in stage.stmt.reads}
             assert stage.stmt.out.buffer not in read_bufs or stage.stmt.accumulate
-
-    def test_fused_nest_has_three_stages_and_tile_scoped_act(self):
-        nest = fused_fp_nest(SPEC, 2)
-        assert nest.fused
-        assert [s.name for s in nest.stages] == ["conv", "relu", "maxpool"]
-        # The algorithm alone keeps act in memory; the fuse pass is what
-        # rescopes it to one pool-row tile.
-        from repro.stencil.loopir import GLOBAL, TILE
-        from repro.stencil.passes import default_pipeline
-
-        assert nest.buffer("act").scope == GLOBAL
-        scheduled = default_pipeline(
-            "fused_fp", pool_kernel=2, pool_stride=2
-        ).build_nest(SPEC)
-        assert scheduled.buffer("act").scope == TILE
-
-    def test_pool_window_geometry(self):
-        pool = PoolWindow(3, 2)
-        assert pool.out_extent(7) == 3
-        assert pool.rows_needed(3) == 7
-        with pytest.raises(CodegenError):
-            pool.out_extent(2)
-        with pytest.raises(CodegenError):
-            PoolWindow(0, 1)
 
 
 class TestEstimates:
@@ -88,16 +63,38 @@ class TestEstimates:
         assert est.private_elems > 0
         assert est.shared_elems > 0
 
-    def test_fused_traffic_strictly_below_chain(self):
-        from repro.stencil.passes import default_pipeline
+    @pytest.mark.parametrize("builder", [conv_fp_nest, conv_bp_data_nest,
+                                         conv_bp_weights_nest])
+    def test_cached_estimate_moves_inputs_and_outputs_once(self, builder):
+        nest = builder(SPEC)
+        est = estimate_nest(nest)
+        # The dW nest reads two inputs and has no weight operand.
+        inputs = sum(b.elems for b in nest.buffers if b.role == "input")
+        weights = sum(b.elems for b in nest.buffers if b.role == "weight")
+        out = nest.buffer(nest.stage.stmt.out.buffer).elems
+        assert est.flops == SPEC.flops
+        assert est.shared_elems == inputs + out
+        assert est.private_elems == 2 * inputs + weights + 2 * out
 
-        fused = default_pipeline(
-            "fused_fp", pool_kernel=2, pool_stride=2
-        ).estimate(SPEC)
-        chain = chain_estimate(SPEC, 2, 2)
-        assert (fused.private_elems + fused.shared_elems
-                < chain.private_elems + chain.shared_elems)
-        assert fused.shared_elems < chain.shared_elems
+    def test_overflowing_the_cache_re_streams_inputs_per_tap(self):
+        nest = conv_fp_nest(SPEC)
+        fits = estimate_nest(nest)
+        spills = estimate_nest(nest, cache_bytes=1)
+        taps = SPEC.fy * SPEC.fx
+        in_elems = nest.buffer("inputs").elems
+        out_elems = nest.buffer("out").elems
+        assert spills.private_elems - fits.private_elems == (
+            (taps - 1) * in_elems)
+        assert spills.shared_elems - fits.shared_elems == (
+            (taps - 1) * out_elems)
+
+    def test_tiling_shrinks_the_working_set(self):
+        untiled = tile_working_set_bytes(conv_fp_nest(SPEC))
+        rows = tile_working_set_bytes(
+            tiled_pipeline("fp", tile_y=3).build_nest(SPEC))
+        cols = tile_working_set_bytes(
+            tiled_pipeline("fp", tile_x=3).build_nest(SPEC))
+        assert rows < untiled and cols < untiled
 
     def test_estimate_prices_on_the_roofline(self):
         est = estimate_nest(conv_fp_nest(SPEC))
@@ -108,7 +105,7 @@ class TestEstimates:
 
     def test_work_delta_reports_direction(self):
         a = estimate_nest(conv_fp_nest(SPEC))
-        b = estimate_nest(fused_fp_nest(SPEC, 2))
+        b = tiled_pipeline("fp", tile_y=2).estimate(SPEC)
         delta = b - a
         assert isinstance(delta.describe(), str)
 

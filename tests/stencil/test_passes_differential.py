@@ -16,9 +16,7 @@ from repro.stencil.emit import (
     emit_backward_data_kernel,
     emit_backward_weights_kernel,
     emit_forward_kernel,
-    emit_fused_forward_kernel,
 )
-from repro.stencil.loopir import PoolWindow
 from repro.stencil.passes import (
     IllegalSchedule,
     Reorder,
@@ -31,19 +29,6 @@ from tests.conftest import SMALL_SPECS, random_conv_data
 #: Seeded searcher: its candidate sets include the random tile/order
 #: samples, so iterating them exercises the whole enumerable space.
 SEARCH = ScheduleSearch(seed=7, verify=False)
-
-POOL = 2
-
-
-def _fused_buffers(spec, rng):
-    inputs, weights, _ = random_conv_data(spec, rng, batch=1)
-    bias = rng.standard_normal(spec.nf).astype(np.float32)
-    window = PoolWindow(POOL, POOL)
-    py = window.out_extent(spec.out_ny)
-    px = window.out_extent(spec.out_nx)
-    out = np.zeros((spec.nf, py, px), dtype=np.float32)
-    argmax = np.zeros((spec.nf, py, px), dtype=np.int64)
-    return inputs[0], weights, bias, out, argmax
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.describe())
@@ -77,61 +62,19 @@ class TestBitIdentity:
             )
             assert np.array_equal(got, want), pipeline.describe()
 
-    def test_fused_candidates(self, spec, rng):
-        inputs, weights, bias, want, want_arg = _fused_buffers(spec, rng)
-        emit_fused_forward_kernel(spec, POOL)(
-            inputs, weights, bias, want, want_arg
-        )
-        for pipeline in SEARCH.candidates(spec, "fused_fp",
-                                          pool_kernel=POOL,
-                                          pool_stride=POOL):
-            got = np.zeros_like(want)
-            got_arg = np.zeros_like(want_arg)
-            emit_fused_forward_kernel(spec, POOL, POOL, pipeline)(
-                inputs, weights, bias, got, got_arg
-            )
-            assert np.array_equal(got, want), pipeline.describe()
-            assert np.array_equal(got_arg, want_arg), pipeline.describe()
-
-    def test_fused_matches_unfused_chain(self, spec, rng):
-        """Fusion is a schedule, not a new algorithm: the fused kernel
-        must reproduce conv -> bias -> ReLU -> max-pool bit for bit."""
-        inputs, weights, bias, got, got_arg = _fused_buffers(spec, rng)
-        emit_fused_forward_kernel(spec, POOL)(
-            inputs, weights, bias, got, got_arg
-        )
-        conv = np.zeros(spec.output_shape, dtype=np.float32)
-        emit_forward_kernel(spec)(inputs, weights, conv)
-        act = np.maximum(conv + bias[:, None, None], 0)
-        py, px = got.shape[1:]
-        windows = np.lib.stride_tricks.as_strided(
-            act,
-            shape=(spec.nf, py, px, POOL, POOL),
-            strides=(act.strides[0],
-                     act.strides[1] * POOL, act.strides[2] * POOL,
-                     act.strides[1], act.strides[2]),
-        ).reshape(spec.nf, py, px, POOL * POOL)
-        want_arg = windows.argmax(axis=-1)
-        want = np.take_along_axis(
-            windows, want_arg[..., None], axis=-1
-        )[..., 0]
-        assert np.array_equal(got, want)
-        assert np.array_equal(got_arg, want_arg)
-
 
 class TestIllegalSchedules:
     """Passes refuse work outside the bit-exactness envelope."""
 
     SPEC = SMALL_SPECS[1]
 
-    def _run(self, family, *passes, **pool):
-        # Pipelines are structurally closed (end in vectorize; fused
-        # families carry fuse) -- the *application* is what must refuse.
-        from repro.stencil.passes import Fuse, Vectorize
+    def _run(self, family, *passes):
+        # Pipelines are structurally closed (they end in vectorize) --
+        # the *application* is what must refuse.
+        from repro.stencil.passes import Vectorize
 
-        tail = ((Fuse(1),) if family == "fused_fp" else ()) + (Vectorize(),)
         pipeline = SchedulePipeline(family=family,
-                                    passes=tuple(passes) + tail, **pool)
+                                    passes=tuple(passes) + (Vectorize(),))
         pipeline.build_nest(self.SPEC)
 
     def test_reduction_dims_do_not_tile(self):
@@ -150,11 +93,6 @@ class TestIllegalSchedules:
         with pytest.raises(IllegalSchedule):
             self._run("fp", Reorder(("f", "c", "kx", "ky", "oy", "ox")))
 
-    def test_fused_nests_tile_only_pool_rows(self):
-        with pytest.raises(IllegalSchedule):
-            self._run("fused_fp", Tile("oy", 2),
-                      pool_kernel=POOL, pool_stride=POOL)
-
     def test_double_tile_is_rejected(self):
         with pytest.raises(IllegalSchedule):
             self._run("fp", Tile("oy", 2), Tile("oy", 2))
@@ -170,6 +108,6 @@ class TestIllegalSchedules:
         # a disjoint dw slice, so tap order is unobservable there.
         default = default_pipeline("bp_weights")
         nest = default.base_nest(self.SPEC)
-        names = tuple(li.dim.name for li in nest.stages[0].loops)
+        names = tuple(li.dim.name for li in nest.stage.loops)
         assert names  # sanity: builds
         self._run("bp_weights", Reorder(("kx", "ky", "f", "c", "oy", "ox")))
